@@ -76,7 +76,7 @@ explore(const std::vector<Ref> &refs, ReplKind kind)
     const WayMask harvest = cache.harvestWays();
     for (std::uint32_t s = 0; s < cache.geometry().sets; ++s) {
         for (unsigned w = 0; w < cache.geometry().ways; ++w) {
-            const auto &ws = cache.wayState(s, w);
+            const WayState ws = cache.wayState(s, w);
             if (ws.valid && ws.shared) {
                 ++shared_total;
                 if (!(harvest & (WayMask{1} << w)))

@@ -22,8 +22,8 @@ class RripPolicy : public ReplacementPolicy
 {
   public:
     unsigned victim(const SetContext &ctx, bool incoming_shared) override;
-    void touch(WayState &way, std::uint64_t tick) override;
-    void fill(WayState &way, std::uint64_t tick) override;
+    void touch(std::uint8_t &rrpv) override;
+    void fill(std::uint8_t &rrpv) override;
     const char *name() const override { return "RRIP"; }
 
   private:

@@ -8,36 +8,28 @@
 
 namespace hh::cache {
 
-namespace detail {
-
 unsigned
-lruAmong(std::span<const WayState> ways, WayMask mask)
+ReplacementPolicy::selectVictim(SetContext ctx, bool incoming_shared)
 {
-    unsigned best = static_cast<unsigned>(ways.size());
-    std::uint64_t best_use = ~0ULL;
-    for (unsigned w = 0; w < ways.size(); ++w) {
-        if (!(mask & (WayMask{1} << w)))
-            continue;
-        if (ways[w].lastUse < best_use) {
-            best_use = ways[w].lastUse;
-            best = w;
-        }
-    }
-    return best;
+    // A caller-side mask wider than the set (e.g. a HarvestMask
+    // programmed for a larger structure, or a candidate mask carried
+    // across a way rescale) would otherwise leave phantom ways in a
+    // policy's victims mask: a class whose only bits are out of range
+    // would defeat the fallbacks and yield no in-range way.
+    const WayMask in_range =
+        ctx.wayCount >= 64 ? ~WayMask{0}
+                           : ((WayMask{1} << ctx.wayCount) - 1);
+    ctx.harvestMask &= in_range;
+    ctx.allowedMask &= in_range;
+    ctx.candidateMask &= in_range;
+    if (!ctx.allowedMask)
+        hh::sim::panic(name(), ": empty allowed mask");
+    const unsigned v = victim(ctx, incoming_shared);
+    if (v >= ctx.wayCount)
+        hh::sim::panic(name(), ": victim way ", v, " of ",
+                       ctx.wayCount);
+    return v;
 }
-
-WayMask
-invalidMask(std::span<const WayState> ways, WayMask allowed)
-{
-    WayMask m = 0;
-    for (unsigned w = 0; w < ways.size(); ++w) {
-        if ((allowed & (WayMask{1} << w)) && !ways[w].valid)
-            m |= WayMask{1} << w;
-    }
-    return m;
-}
-
-} // namespace detail
 
 std::unique_ptr<ReplacementPolicy>
 makePolicy(ReplKind kind)

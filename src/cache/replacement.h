@@ -2,11 +2,12 @@
  * @file
  * Replacement-policy interface shared by caches and TLBs.
  *
- * A policy sees one set at a time through SetContext: the per-way
- * state, which ways are harvest ways (HarvestMask), which ways the
- * current requester may use, and — for the HardHarvest policy — the
- * eviction-candidate subset (the M least-recently-used ways, paper
- * Section 4.2.3).
+ * A policy sees one set at a time through SetContext: the set's
+ * packed per-way columns (tags, LRU timestamps, RRIP values) and
+ * bitmaps (valid, Shared, instruction-side), which ways are harvest
+ * ways (HarvestMask), which ways the current requester may use, and
+ * — for the HardHarvest policy — the eviction-candidate subset (the
+ * M least-recently-used ways, paper Section 4.2.3).
  */
 
 #ifndef HH_CACHE_REPLACEMENT_H
@@ -15,71 +16,32 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "cache/config.h"
-#include "snapshot/archive.h"
 
 namespace hh::cache {
 
 /**
- * Per-way bookkeeping kept by the set-associative array.
- */
-struct WayState
-{
-    bool valid = false;
-    Addr tag = 0;
-    bool shared = false;        //!< Paper's per-entry Shared bit.
-    bool instr = false;         //!< Instruction-side entry (CDP).
-    std::uint64_t lastUse = 0;  //!< LRU timestamp (array access tick).
-    std::uint8_t rrpv = 3;      //!< RRIP re-reference prediction value.
-
-    /**
-     * Full per-way state; all replacement metadata the online
-     * policies (LRU/RRIP/CDP/HardHarvest) consult lives here, so
-     * serializing the way array checkpoints the policy state too.
-     */
-    void
-    serialize(hh::snap::Archive &ar)
-    {
-        ar.io(valid);
-        ar.io(tag);
-        ar.io(shared);
-        ar.io(instr);
-        ar.io(lastUse);
-        ar.io(rrpv);
-    }
-};
-
-/**
  * Everything a policy may inspect when choosing a victim in one set.
+ *
+ * The column pointers address the set's `wayCount` contiguous
+ * entries; a way's column values are meaningful only when its
+ * validMask bit is set. SetAssocArray points them straight into its
+ * own storage.
  */
 struct SetContext
 {
-    std::span<const WayState> ways; //!< All ways of the set.
+    unsigned wayCount = 0;          //!< Ways in the set.
     WayMask harvestMask = 0;        //!< Ways in the harvest region.
     WayMask allowedMask = 0;        //!< Ways the requester may fill.
     WayMask candidateMask = 0;      //!< Eviction candidates (valid ways).
+    WayMask validMask = 0;          //!< Ways holding a valid entry.
+    WayMask sharedMask = 0;         //!< Ways whose entry is Shared.
+    WayMask instrMask = 0;          //!< Ways whose entry is I-side.
     std::uint64_t setIndex = 0;     //!< Which set (Belady oracle key).
-
-    /**
-     * @name Struct-of-arrays fast path (set by SetAssocArray)
-     *
-     * When `lastUse` is non-null it points at the set's contiguous
-     * per-way LRU timestamps and the three bitmap fields below are
-     * populated, with every mask (including allowedMask and
-     * candidateMask) already clipped to the set's geometry. Policies
-     * then pick victims from bitmaps and one flat array instead of
-     * striding through 32-byte WayState records. A null `lastUse`
-     * (direct construction in tests) selects the original
-     * span-walking path; both paths compute identical victims.
-     * @{
-     */
-    const std::uint64_t *lastUse = nullptr;
-    WayMask validMask = 0;  //!< Ways holding a valid entry.
-    WayMask sharedMask = 0; //!< Ways whose valid entry is Shared.
-    WayMask instrMask = 0;  //!< Ways whose valid entry is I-side.
-    /** @} */
+    const Addr *tags = nullptr;               //!< Per-way tags.
+    const std::uint64_t *lastUse = nullptr;   //!< Per-way LRU ticks.
+    const std::uint8_t *rrpv = nullptr;       //!< Per-way RRIP values.
 };
 
 /**
@@ -93,29 +55,35 @@ class ReplacementPolicy
     /**
      * Choose the way that should receive an incoming entry.
      *
-     * Invalid allowed ways are always preferred; the array guarantees
-     * that ctx.allowedMask is non-zero.
+     * Clips the harvest, allowed and candidate masks in @p ctx to
+     * the set's ways, so phantom bits beyond the geometry can neither
+     * be picked nor defeat a policy's fallbacks, then asks victim()
+     * and checks that the answer is an in-range way. (Policies read
+     * the valid/Shared/instr bitmaps only through those masks.)
      *
-     * @param ctx            The set being filled.
+     * @param ctx             The set being filled.
      * @param incoming_shared Shared bit of the incoming entry.
-     * @return Way index in [0, ways).
+     * @return Way index in [0, ctx.wayCount).
+     */
+    unsigned selectVictim(SetContext ctx, bool incoming_shared);
+
+    /**
+     * Policy-specific victim choice. Invalid allowed ways are always
+     * preferred. @pre The harvest, allowed and candidate masks lie
+     * within the set's ways and ctx.allowedMask is non-zero
+     * (selectVictim() ensures both).
      */
     virtual unsigned victim(const SetContext &ctx,
                             bool incoming_shared) = 0;
 
-    /** Metadata update on a hit. */
-    virtual void
-    touch(WayState &way, std::uint64_t tick)
-    {
-        way.lastUse = tick;
-    }
+    /**
+     * Metadata update on a hit; the array has already stamped the
+     * way's LRU tick. @param rrpv The way's RRIP value.
+     */
+    virtual void touch(std::uint8_t &rrpv) { (void)rrpv; }
 
     /** Metadata update on a fill (after victim selection). */
-    virtual void
-    fill(WayState &way, std::uint64_t tick)
-    {
-        way.lastUse = tick;
-    }
+    virtual void fill(std::uint8_t &rrpv) { (void)rrpv; }
 
     /** Human-readable policy name. */
     virtual const char *name() const = 0;
@@ -139,19 +107,12 @@ std::unique_ptr<ReplacementPolicy> makePolicy(ReplKind kind);
 
 namespace detail {
 
-/** Pick the LRU way among @p mask; returns ways count if mask empty. */
-unsigned lruAmong(std::span<const WayState> ways, WayMask mask);
-
-/** Mask of invalid ways within @p allowed. */
-WayMask invalidMask(std::span<const WayState> ways, WayMask allowed);
-
 /**
- * lruAmong over a contiguous lastUse array (SoA fast path); visits
- * only the set bits of @p mask, lowest index winning ties exactly
- * like lruAmong. Returns 64 when @p mask is empty.
+ * The least-recently-used way among the set bits of @p mask, lowest
+ * index winning ties. Returns 64 when @p mask is empty.
  */
 inline unsigned
-lruAmongFast(const std::uint64_t *lastUse, WayMask mask)
+lruWay(const std::uint64_t *lastUse, WayMask mask)
 {
     unsigned best = 64;
     std::uint64_t best_use = ~0ULL;

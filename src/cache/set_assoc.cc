@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "sim/log.h"
 #include "sim/prof.h"
@@ -10,12 +11,20 @@
 
 namespace hh::cache {
 
+namespace {
+
+/** RRIP value of an empty (never filled or flushed) way. */
+constexpr std::uint8_t kEmptyRrpv = WayState{}.rrpv;
+
+} // namespace
+
 SetAssocArray::SetAssocArray(const Geometry &geom,
                              std::unique_ptr<ReplacementPolicy> policy)
     : geom_(geom), policy_(std::move(policy)),
-      ways_(static_cast<std::size_t>(geom.sets) * geom.ways),
       tags_(static_cast<std::size_t>(geom.sets) * geom.ways),
       last_use_(static_cast<std::size_t>(geom.sets) * geom.ways),
+      rrpv_(static_cast<std::size_t>(geom.sets) * geom.ways,
+            kEmptyRrpv),
       valid_bits_(geom.sets), shared_bits_(geom.sets),
       instr_bits_(geom.sets), candidate_count_(geom.ways)
 {
@@ -26,7 +35,7 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
                        geom.ways);
     if (geom.sets == 0)
         hh::sim::fatal("SetAssocArray: sets must be > 0");
-    all_ways_ = geom.ways == 64 ? ~WayMask{0}
+    full_mask_ = geom.ways == 64 ? ~WayMask{0}
                                 : ((WayMask{1} << geom.ways) - 1);
     policy_uses_candidates_ = policy_->usesCandidates();
 }
@@ -34,7 +43,7 @@ SetAssocArray::SetAssocArray(const Geometry &geom,
 void
 SetAssocArray::setHarvestWays(WayMask mask)
 {
-    harvest_mask_ = mask & all_ways_;
+    harvest_mask_ = mask & full_mask_;
 }
 
 void
@@ -47,7 +56,7 @@ SetAssocArray::setHarvestWayCount(unsigned n)
 void
 SetAssocArray::setCandidateFraction(double f)
 {
-    if (f <= 0.0 || f > 1.0)
+    if (!(f > 0.0 && f <= 1.0)) // also rejects NaN
         hh::sim::fatal("SetAssocArray: candidate fraction must be in "
                        "(0, 1], got ", f);
     candidate_count_ = std::max<unsigned>(
@@ -64,33 +73,6 @@ SetAssocArray::setIndex(Addr key) const
     return static_cast<std::uint32_t>(key % geom_.sets);
 }
 
-void
-SetAssocArray::rebuildMirrors()
-{
-    for (std::uint32_t s = 0; s < geom_.sets; ++s) {
-        const std::size_t si =
-            static_cast<std::size_t>(s) * geom_.ways;
-        WayMask valid = 0;
-        WayMask shared = 0;
-        WayMask instr = 0;
-        for (unsigned w = 0; w < geom_.ways; ++w) {
-            const WayState &ws = ways_[si + w];
-            tags_[si + w] = ws.tag;
-            last_use_[si + w] = ws.lastUse;
-            const WayMask bit = WayMask{1} << w;
-            if (ws.valid)
-                valid |= bit;
-            if (ws.shared)
-                shared |= bit;
-            if (ws.instr)
-                instr |= bit;
-        }
-        valid_bits_[s] = valid;
-        shared_bits_[s] = shared;
-        instr_bits_[s] = instr;
-    }
-}
-
 WayMask
 SetAssocArray::candidateMask(std::uint32_t set, WayMask allowed) const
 {
@@ -99,7 +81,7 @@ SetAssocArray::candidateMask(std::uint32_t set, WayMask allowed) const
     // Select the M least-recently-used allowed ways: repeatedly pick
     // the minimum lastUse, lowest way winning ties — exactly the
     // order a full selection sort would produce. The scan walks the
-    // contiguous lastUse mirror and only the bits still remaining.
+    // contiguous lastUse column and only the bits still remaining.
     const std::uint64_t *lu =
         &last_use_[static_cast<std::size_t>(set) * geom_.ways];
     WayMask mask = 0;
@@ -130,7 +112,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
                       bool instr)
 {
     HH_PROF_SCOPE("cache.array_access");
-    allowed &= all_ways_;
+    allowed &= full_mask_;
     if (!allowed)
         hh::sim::panic("SetAssocArray::access: empty allowed mask");
 
@@ -139,7 +121,7 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
     const std::size_t si = static_cast<std::size_t>(set) * geom_.ways;
     AccessResult res;
 
-    // Tag search over the contiguous mirror, valid ways only.
+    // Tag search over the contiguous tag column, valid ways only.
     const WayMask valid = valid_bits_[set];
     const Addr *tags = &tags_[si];
     for (WayMask m = valid; m; m &= m - 1) {
@@ -148,21 +130,21 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
             continue;
         res.hit = true;
         res.way = w;
-        WayState &hit = ways_[si + w];
-        policy_->touch(hit, tick_);
-        last_use_[si + w] = hit.lastUse;
+        last_use_[si + w] = tick_;
+        policy_->touch(rrpv_[si + w]);
         ++hits_;
         return res;
     }
 
     ++misses_;
-    WayState *base = &ways_[si];
     SetContext ctx;
-    ctx.ways = std::span<const WayState>(base, geom_.ways);
+    ctx.wayCount = geom_.ways;
     ctx.harvestMask = harvest_mask_;
     ctx.allowedMask = allowed;
     ctx.setIndex = set;
+    ctx.tags = tags;
     ctx.lastUse = &last_use_[si];
+    ctx.rrpv = &rrpv_[si];
     ctx.validMask = valid;
     ctx.sharedMask = shared_bits_[set];
     ctx.instrMask = instr_bits_[set];
@@ -175,25 +157,16 @@ SetAssocArray::access(Addr key, bool shared, WayMask allowed,
             ? candidateMask(set, allowed)
             : allowed;
 
-    const unsigned victim = policy_->victim(ctx, shared);
-    if (victim >= geom_.ways)
-        hh::sim::panic("SetAssocArray: policy returned way ", victim,
-                       " of ", geom_.ways);
-    WayState &slot = base[victim];
-    if (slot.valid) {
+    const unsigned victim = policy_->selectVictim(ctx, shared);
+    const WayMask bit = WayMask{1} << victim;
+    if (valid & bit) {
         ++evictions_;
         res.evictedValid = true;
-        res.victimShared = slot.shared;
+        res.victimShared = (shared_bits_[set] & bit) != 0;
     }
-    slot.valid = true;
-    slot.tag = key;
-    slot.shared = shared;
-    slot.instr = instr;
-    policy_->fill(slot, tick_);
-
-    const WayMask bit = WayMask{1} << victim;
     tags_[si + victim] = key;
-    last_use_[si + victim] = slot.lastUse;
+    last_use_[si + victim] = tick_;
+    policy_->fill(rrpv_[si + victim]);
     valid_bits_[set] |= bit;
     shared_bits_[set] = shared ? (shared_bits_[set] | bit)
                                : (shared_bits_[set] & ~bit);
@@ -220,10 +193,9 @@ SetAssocArray::probe(Addr key) const
 void
 SetAssocArray::flushAll()
 {
-    for (auto &w : ways_)
-        w = WayState{};
     std::fill(tags_.begin(), tags_.end(), Addr{0});
     std::fill(last_use_.begin(), last_use_.end(), std::uint64_t{0});
+    std::fill(rrpv_.begin(), rrpv_.end(), kEmptyRrpv);
     std::fill(valid_bits_.begin(), valid_bits_.end(), WayMask{0});
     std::fill(shared_bits_.begin(), shared_bits_.end(), WayMask{0});
     std::fill(instr_bits_.begin(), instr_bits_.end(), WayMask{0});
@@ -232,16 +204,16 @@ SetAssocArray::flushAll()
 void
 SetAssocArray::flushWays(WayMask mask)
 {
-    mask &= all_ways_;
+    mask &= full_mask_;
     for (std::uint32_t s = 0; s < geom_.sets; ++s) {
         const std::size_t si =
             static_cast<std::size_t>(s) * geom_.ways;
         for (WayMask m = mask; m; m &= m - 1) {
             const auto w =
                 static_cast<unsigned>(std::countr_zero(m));
-            ways_[si + w] = WayState{};
             tags_[si + w] = 0;
             last_use_[si + w] = 0;
+            rrpv_[si + w] = kEmptyRrpv;
         }
         valid_bits_[s] &= ~mask;
         shared_bits_[s] &= ~mask;
@@ -276,28 +248,80 @@ SetAssocArray::registerMetrics(hh::stats::MetricRegistry &reg,
 std::uint64_t
 SetAssocArray::validCount() const
 {
-    std::uint64_t n = 0;
-    for (const auto &w : ways_)
-        n += w.valid ? 1 : 0;
-    return n;
+    return validCountInWays(full_mask_);
 }
 
 std::uint64_t
 SetAssocArray::validCountInWays(WayMask mask) const
 {
-    mask &= all_ways_;
+    mask &= full_mask_;
     std::uint64_t n = 0;
     for (const WayMask valid : valid_bits_)
         n += static_cast<unsigned>(std::popcount(valid & mask));
     return n;
 }
 
-const WayState &
+WayState
 SetAssocArray::wayState(std::uint32_t set, unsigned way) const
 {
     if (set >= geom_.sets || way >= geom_.ways)
         hh::sim::panic("SetAssocArray::wayState: out of range");
-    return ways_[static_cast<std::size_t>(set) * geom_.ways + way];
+    const std::size_t i = static_cast<std::size_t>(set) * geom_.ways + way;
+    WayState ws;
+    ws.valid = (valid_bits_[set] >> way) & 1;
+    ws.tag = tags_[i];
+    ws.shared = (shared_bits_[set] >> way) & 1;
+    ws.instr = (instr_bits_[set] >> way) & 1;
+    ws.lastUse = last_use_[i];
+    ws.rrpv = rrpv_[i];
+    return ws;
+}
+
+void
+SetAssocArray::serialize(hh::snap::Archive &ar)
+{
+    std::uint64_t records =
+        static_cast<std::uint64_t>(geom_.sets) * geom_.ways;
+    const std::uint64_t expected = records;
+    ar.io(records);
+    if (ar.loading() && ar.ok() && records != expected) {
+        ar.fail("SetAssocArray: snapshot holds " +
+                std::to_string(records) + " way records, array has " +
+                std::to_string(expected) + " (sets x ways)");
+        return;
+    }
+    for (std::uint32_t s = 0; s < geom_.sets && ar.ok(); ++s) {
+        const std::size_t si = static_cast<std::size_t>(s) * geom_.ways;
+        WayMask valid = 0;
+        WayMask shared = 0;
+        WayMask instr = 0;
+        for (unsigned w = 0; w < geom_.ways; ++w) {
+            const WayMask bit = WayMask{1} << w;
+            bool v = valid_bits_[s] & bit;
+            bool sh = shared_bits_[s] & bit;
+            bool in = instr_bits_[s] & bit;
+            ar.io(v);
+            ar.io(tags_[si + w]);
+            ar.io(sh);
+            ar.io(in);
+            ar.io(last_use_[si + w]);
+            ar.io(rrpv_[si + w]);
+            valid |= v ? bit : 0;
+            shared |= sh ? bit : 0;
+            instr |= in ? bit : 0;
+        }
+        if (ar.loading()) {
+            valid_bits_[s] = valid;
+            shared_bits_[s] = shared;
+            instr_bits_[s] = instr;
+        }
+    }
+    ar.io(harvest_mask_);
+    ar.io(candidate_count_);
+    ar.io(tick_);
+    ar.io(hits_);
+    ar.io(misses_);
+    ar.io(evictions_);
 }
 
 } // namespace hh::cache

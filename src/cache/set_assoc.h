@@ -26,12 +26,28 @@
 
 #include "cache/config.h"
 #include "cache/replacement.h"
+#include "snapshot/archive.h"
 
 namespace hh::stats {
 class MetricRegistry;
 }
 
 namespace hh::cache {
+
+/**
+ * One way's state, assembled from the array's columns by
+ * SetAssocArray::wayState() for inspection. An empty way (never
+ * filled, or flushed) reads as a default-constructed value.
+ */
+struct WayState
+{
+    bool valid = false;
+    Addr tag = 0;
+    bool shared = false;        //!< Paper's per-entry Shared bit.
+    bool instr = false;         //!< Instruction-side entry (CDP).
+    std::uint64_t lastUse = 0;  //!< LRU timestamp (array access tick).
+    std::uint8_t rrpv = 3;      //!< RRIP re-reference prediction value.
+};
 
 /** Outcome of one array access. */
 struct AccessResult
@@ -44,6 +60,11 @@ struct AccessResult
 
 /**
  * A set-associative tag array with pluggable replacement.
+ *
+ * Per-way state lives only in packed columns: tags, LRU timestamps
+ * and RRIP values (sets * ways, row-major), plus one valid, Shared
+ * and instruction-side bitmap per set. The replacement policy reads
+ * the columns through SetContext; the array writes them.
  */
 class SetAssocArray
 {
@@ -112,7 +133,6 @@ class SetAssocArray
     /** @} */
 
     const Geometry &geometry() const { return geom_; }
-    ReplacementPolicy &policy() { return *policy_; }
 
     /** Number of valid entries across the array (tests). */
     std::uint64_t validCount() const;
@@ -124,15 +144,15 @@ class SetAssocArray
     std::uint64_t validCountInWays(WayMask mask) const;
 
     /**
-     * Visit every valid entry in the given ways as fn(set, way, tag).
-     * Walks the packed valid/tag mirrors, so the lease auditor can
-     * scan returned ways without touching the WayState records.
+     * Visit every valid entry in the given ways as fn(set, way, tag),
+     * walking only the valid bitmap and tag column (the lease
+     * auditor's scan of returned ways).
      */
     template <typename Fn>
     void
     forEachValidInWays(WayMask mask, Fn &&fn) const
     {
-        mask &= all_ways_;
+        mask &= full_mask_;
         if (!mask)
             return;
         for (std::uint32_t s = 0; s < geom_.sets; ++s) {
@@ -146,31 +166,25 @@ class SetAssocArray
         }
     }
 
-    /** Per-way inspection hook for tests. */
-    const WayState &wayState(std::uint32_t set, unsigned way) const;
+    /** One way's state, assembled from the columns (tests). */
+    WayState wayState(std::uint32_t set, unsigned way) const;
 
     /** Mask covering all ways of this array. */
-    WayMask allWays() const { return all_ways_; }
+    WayMask allWays() const { return full_mask_; }
 
     /**
      * Save/restore contents and statistics. The restoring side must
      * have constructed the array with the same geometry and policy
      * kind; the online policies are stateless beyond the per-way
-     * metadata (Belady is offline-only and not checkpointable).
+     * columns (Belady is offline-only and not checkpointable).
+     *
+     * Encoding: a u64 record count (sets * ways), then one record
+     * per way in row-major order — valid, tag, shared, instr,
+     * lastUse, rrpv — then the harvest mask, candidate count, tick
+     * and counters. Loading a record count other than sets * ways
+     * fails the archive.
      */
-    void
-    serialize(hh::snap::Archive &ar)
-    {
-        ar.io(ways_);
-        ar.io(harvest_mask_);
-        ar.io(candidate_count_);
-        ar.io(tick_);
-        ar.io(hits_);
-        ar.io(misses_);
-        ar.io(evictions_);
-        if (ar.loading())
-            rebuildMirrors();
-    }
+    void serialize(hh::snap::Archive &ar);
 
   private:
     std::uint32_t setIndex(Addr key) const;
@@ -178,35 +192,26 @@ class SetAssocArray
     /** Compute the M-least-recently-used candidate mask for a set. */
     WayMask candidateMask(std::uint32_t set, WayMask allowed) const;
 
-    /** Recompute the SoA mirrors from ways_ (snapshot load). */
-    void rebuildMirrors();
-
     Geometry geom_;
     std::unique_ptr<ReplacementPolicy> policy_;
     /**
-     * Authoritative per-way state, sets * ways row-major. The
-     * serialized encoding reads this array only, so the mirrors
-     * below never appear in (and cannot break) checkpoints.
-     */
-    std::vector<WayState> ways_;
-    /**
-     * @name Struct-of-arrays mirrors of ways_
+     * @name Per-way state
      *
-     * The access hot path is tag search plus lastUse scans; striding
-     * 32-byte WayState records for those touches 8 cache lines per
-     * 16-way set. The mirrors pack tags and LRU timestamps
-     * contiguously and fold the boolean columns into per-set
-     * bitmaps, and are kept in sync on every fill/touch/flush.
+     * The access hot path is a tag search plus lastUse scans, so tags
+     * and LRU timestamps are packed contiguously per set and the
+     * boolean columns fold into per-set bitmaps. An invalid way holds
+     * WayState{} values: tag 0, lastUse 0, rrpv 3, no bits set.
      * @{
      */
-    std::vector<Addr> tags_;             //!< sets * ways.
+    std::vector<Addr> tags_;              //!< sets * ways.
     std::vector<std::uint64_t> last_use_; //!< sets * ways.
-    std::vector<WayMask> valid_bits_;    //!< one mask per set.
-    std::vector<WayMask> shared_bits_;   //!< one mask per set.
-    std::vector<WayMask> instr_bits_;    //!< one mask per set.
+    std::vector<std::uint8_t> rrpv_;      //!< sets * ways.
+    std::vector<WayMask> valid_bits_;     //!< one mask per set.
+    std::vector<WayMask> shared_bits_;    //!< one mask per set.
+    std::vector<WayMask> instr_bits_;     //!< one mask per set.
     /** @} */
     WayMask harvest_mask_ = 0;
-    WayMask all_ways_ = 0;
+    WayMask full_mask_ = 0;
     unsigned candidate_count_; //!< M as an absolute way count.
     /** Cached policy_->usesCandidates() (virtual call per miss). */
     bool policy_uses_candidates_ = false;

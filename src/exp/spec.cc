@@ -217,9 +217,15 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
     if (key == "warmupFraction")
         return parseDouble(value, &cfg.warmupFraction) ||
                fail("bad double");
-    if (key == "candidateFraction")
-        return parseDouble(value, &cfg.candidateFraction) ||
-               fail("bad double");
+    if (key == "candidateFraction") {
+        double f = 0;
+        if (!parseDouble(value, &f))
+            return fail("bad double");
+        if (!(f > 0.0 && f <= 1.0)) // also rejects NaN
+            return fail("candidateFraction must be in (0, 1], got");
+        cfg.candidateFraction = f;
+        return true;
+    }
     if (key == "harvestWayFraction") {
         double f = 0;
         if (!parseDouble(value, &f))

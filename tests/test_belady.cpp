@@ -79,6 +79,33 @@ TEST(Belady, PositionAdvancesOncePerAccess)
     EXPECT_EQ(raw->position(), trace.size());
 }
 
+TEST(Belady, VictimReadsTheTagColumn)
+{
+    // At position 0 the resident keys 1, 2, 3 are next used at 1,
+    // never, and 2.
+    const std::vector<Addr> trace{9, 1, 3, 1};
+    NextUseOracle oracle(trace);
+    BeladyPolicy p(oracle);
+    const std::vector<Addr> tags{1, 2, 3};
+    const std::vector<std::uint64_t> last_use{1, 2, 3};
+    SetContext ctx;
+    ctx.wayCount = 3;
+    ctx.allowedMask = 0b111;
+    ctx.candidateMask = 0b111;
+    ctx.validMask = 0b111;
+    ctx.tags = tags.data();
+    ctx.lastUse = last_use.data();
+    EXPECT_EQ(p.selectVictim(ctx, true), 1u); // never used again
+    ctx.allowedMask = 0b101;
+    EXPECT_EQ(p.selectVictim(ctx, true), 2u); // farther of 1 and 3
+    ctx.validMask = 0b110;
+    EXPECT_EQ(p.selectVictim(ctx, true), 0u); // empty slot first
+    // Phantom allowed bits beyond the set never come back as a way.
+    ctx.validMask = 0b111;
+    ctx.allowedMask = 0b001 | (WayMask{1} << 40);
+    EXPECT_EQ(p.selectVictim(ctx, true), 0u);
+}
+
 /** Property: Belady's hit count dominates every online policy. */
 class BeladyOptimal : public ::testing::TestWithParam<std::uint64_t>
 {};

@@ -103,6 +103,31 @@ TEST(ExpSpec, ErrorsCarryLineNumbers)
         parseSpec("sweep.candidateFraction = 0.5 oops\n", &spec, &err));
     EXPECT_NE(err.find("line 1"), std::string::npos) << err;
 
+    // candidateFraction must lie in (0, 1]; NaN compares false with
+    // every bound, so it needs rejecting explicitly. Plain keys and
+    // sweep axes both report the line.
+    for (const char *bad : {"0", "1.5", "nan", "-0.25"}) {
+        const std::string v(bad);
+        EXPECT_FALSE(parseSpec("name = x\ncandidateFraction = " + v +
+                                   "\n",
+                               &spec, &err))
+            << v;
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("candidateFraction must be in (0, 1]"),
+                  std::string::npos)
+            << err;
+        EXPECT_FALSE(parseSpec("sweep.candidateFraction = 0.5 " + v +
+                                   "\n",
+                               &spec, &err))
+            << v;
+        EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+        EXPECT_NE(err.find("candidateFraction must be in (0, 1]"),
+                  std::string::npos)
+            << err;
+    }
+    ASSERT_TRUE(parseSpec("candidateFraction = 1\n", &spec, &err))
+        << err;
+
     // Scalar keys take exactly one value.
     EXPECT_FALSE(parseSpec("requestsPerVm = 40 80\n", &spec, &err));
     EXPECT_NE(err.find("one value"), std::string::npos) << err;

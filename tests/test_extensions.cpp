@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/repl_cdp.h"
 #include "cache/set_assoc.h"
 #include "cluster/experiment.h"
@@ -62,6 +64,31 @@ TEST(Cdp, AllInstructionFallsBackToLru)
     arr.access(3, true, ~WayMask{0}, true);
     EXPECT_TRUE(arr.probe(1));
     EXPECT_FALSE(arr.probe(2));
+}
+
+TEST(Cdp, VictimSkipsInstructionEntries)
+{
+    // Four valid shared entries; ways 0-1 form the harvest region
+    // and ways 0 and 3 hold instructions.
+    const std::vector<Addr> tags{1, 2, 3, 4};
+    const std::vector<std::uint64_t> last_use{1, 2, 3, 4};
+    SetContext ctx;
+    ctx.wayCount = 4;
+    ctx.harvestMask = 0b0011;
+    ctx.allowedMask = 0b1111;
+    ctx.candidateMask = 0b1111;
+    ctx.validMask = 0b1111;
+    ctx.sharedMask = 0b1111;
+    ctx.instrMask = 0b1001;
+    ctx.tags = tags.data();
+    ctx.lastUse = last_use.data();
+    CdpPolicy p;
+    EXPECT_EQ(p.selectVictim(ctx, true), 2u);  // non-harvest data
+    EXPECT_EQ(p.selectVictim(ctx, false), 1u); // harvest data
+    ctx.instrMask = 0b1111; // all instructions: plain LRU
+    EXPECT_EQ(p.selectVictim(ctx, true), 0u);
+    ctx.candidateMask = 0b1100; // ...among the candidates
+    EXPECT_EQ(p.selectVictim(ctx, true), 2u);
 }
 
 TEST(Cdp, InstrBitStoredOnFill)
