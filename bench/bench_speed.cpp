@@ -1,10 +1,10 @@
 /**
  * @file
  * Simulator speed tracker: measures the wall-clock of the parallel
- * cluster engine against the sequential baseline and the event-queue
- * hot path against the seed implementation, then writes the numbers
- * as machine-readable JSON so the perf trajectory is tracked across
- * PRs.
+ * cluster engine against the sequential baseline and the event
+ * queue's ops/sec under three schedule/cancel/pop mixes, then writes
+ * the numbers as machine-readable JSON so the perf trajectory is
+ * tracked across changes.
  *
  * Usage:  bench_speed [output.json]
  *   default output: BENCH_sim_speed.json in the current directory.
@@ -43,9 +43,7 @@
 #include "bench_util.h"
 #include "exp/codec.h"
 #include "exp/scheduler.h"
-#include "legacy_event_queue.h"
 #include "sim/event_queue.h"
-#include "sim/event_queue_heap.h"
 #include "sim/prof.h"
 #include "sim/thread_pool.h"
 #include "snapshot/archive.h"
@@ -64,16 +62,15 @@ secondsSince(Clock::time_point start)
 }
 
 /** Ops/sec of one schedule/cancel/pop mix over @p rounds rounds. */
-template <typename Queue>
 double
 measureQueueMix(std::uint64_t rounds,
                 const hh::bench::QueueMixPreset &p)
 {
     std::uint64_t sink = 0;
     hh::sim::Rng rng(7, 0xE0);
-    Queue q;
+    hh::sim::EventQueue q;
     hh::sim::Cycles now = 0;
-    std::vector<typename Queue::EventId> pending;
+    std::vector<hh::sim::EventId> pending;
     for (int i = 0; i < 64; ++i)
         pending.push_back(
             q.schedule(now + 1 + (i % 13), [&sink] { ++sink; }));
@@ -85,15 +82,14 @@ measureQueueMix(std::uint64_t rounds,
     return sec > 0 ? static_cast<double>(rounds) / sec : 0.0;
 }
 
-/** One queue variant's ops/sec across the three workload presets. */
-template <typename Queue>
+/** The event queue's ops/sec across the three workload presets. */
 std::array<double, 3>
-measureQueueVariant(std::uint64_t rounds)
+measureQueueMixes(std::uint64_t rounds)
 {
     std::array<double, 3> ops{};
     for (std::size_t i = 0; i < 3; ++i)
-        ops[i] = measureQueueMix<Queue>(
-            rounds, hh::bench::kQueueMixPresets[i]);
+        ops[i] = measureQueueMix(rounds,
+                                 hh::bench::kQueueMixPresets[i]);
     return ops;
 }
 
@@ -400,18 +396,9 @@ main(int argc, char **argv)
                        1.0)
             : -100.0;
 
-    std::printf("event-queue shootout (legacy / heap / wheel x "
-                "near / far / cancel)...\n");
+    std::printf("event-queue mixes (near / far / cancel)...\n");
     const std::uint64_t rounds = 4'000'000;
-    const auto legacy_ops = measureQueueVariant<LegacyEventQueue>(rounds);
-    const auto heap_ops =
-        measureQueueVariant<hh::sim::HeapEventQueue>(rounds);
-    const auto wheel_ops =
-        measureQueueVariant<hh::sim::EventQueue>(rounds);
-    // Headline speedup stays the near-future (server-like) mix of
-    // the production queue vs the seed implementation.
-    const double queue_speedup =
-        legacy_ops[0] > 0 ? wheel_ops[0] / legacy_ops[0] : 0.0;
+    const auto wheel_ops = measureQueueMixes(rounds);
 
     // Profile pass: re-run a reduced sequential slice with the
     // scoped cycle counters on, then report where kernel time goes.
@@ -435,13 +422,9 @@ main(int argc, char **argv)
                 seq_sec, par_sec, speedup,
                 identical ? "yes" : "NO");
     for (std::size_t i = 0; i < 3; ++i) {
-        std::printf("eventq/%-6s legacy %6.2f  heap %6.2f  wheel "
-                    "%6.2f Mops/s  (wheel %.2fx legacy)\n",
+        std::printf("eventq/%-6s wheel %6.2f Mops/s\n",
                     hh::bench::kQueueMixPresets[i].name,
-                    legacy_ops[i] / 1e6, heap_ops[i] / 1e6,
-                    wheel_ops[i] / 1e6,
-                    legacy_ops[i] > 0 ? wheel_ops[i] / legacy_ops[i]
-                                      : 0.0);
+                    wheel_ops[i] / 1e6);
     }
     std::printf("profile:  %.2fs instrumented slice, top sites:\n",
                 prof_sec);
@@ -529,24 +512,13 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"event_queue\": {\n");
     std::fprintf(f, "    \"mix_rounds\": %llu,\n",
                  static_cast<unsigned long long>(rounds));
-    const struct
-    {
-        const char *name;
-        const std::array<double, 3> &ops;
-    } variants[] = {{"legacy", legacy_ops},
-                    {"heap", heap_ops},
-                    {"wheel", wheel_ops}};
-    for (const auto &v : variants) {
-        std::fprintf(f, "    \"%s\": {\n", v.name);
-        for (std::size_t i = 0; i < 3; ++i) {
-            std::fprintf(
-                f, "      \"%s_ops_per_sec\": %.0f%s\n",
-                hh::bench::kQueueMixPresets[i].name, v.ops[i],
-                i + 1 < 3 ? "," : "");
-        }
-        std::fprintf(f, "    },\n");
+    std::fprintf(f, "    \"wheel\": {\n");
+    for (std::size_t i = 0; i < 3; ++i) {
+        std::fprintf(f, "      \"%s_ops_per_sec\": %.0f%s\n",
+                     hh::bench::kQueueMixPresets[i].name, wheel_ops[i],
+                     i + 1 < 3 ? "," : "");
     }
-    std::fprintf(f, "    \"speedup\": %.3f\n", queue_speedup);
+    std::fprintf(f, "    }\n");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"profile\": {\n");
     std::fprintf(f, "    \"instrumented_sec\": %.4f,\n", prof_sec);

@@ -14,6 +14,7 @@
 #define HH_BENCH_UTIL_H
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -24,7 +25,9 @@
 #include "cluster/experiment.h"
 #include "cluster/parallel.h"
 #include "cluster/system_config.h"
+#include "sim/event_queue.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 #include "sim/time.h"
 #include "stats/sampler.h"
 #include "trace/chrome_trace.h"
@@ -347,6 +350,62 @@ printServiceTable(
     }
     std::printf("\n");
 }
+
+/**
+ * One round of a parameterized schedule/cancel/pop mix: keep a
+ * window of pending events; each round schedules one @p horizon
+ * cycles ahead at most, cancels a superseded timer with probability
+ * @p cancelProb, and pops one.
+ *
+ * The three workload presets the event-queue benchmarks use:
+ *  - near-future-heavy: horizon 50, cancel 0.25 (the server mix —
+ *    most timers land in the wheel's level-0 window);
+ *  - far-future-heavy: horizon 1<<20, cancel 0.25 (events spread
+ *    across coarse wheel levels and the far heap, maximizing
+ *    cascade work);
+ *  - cancel-heavy:     horizon 50, cancel 0.75 (dead-node skipping
+ *    and compaction dominate).
+ *
+ * @return An accumulator defeating dead-code elimination.
+ */
+inline std::uint64_t
+eventQueueMixRound(hh::sim::EventQueue &q, hh::sim::Rng &rng,
+                   hh::sim::Cycles &now,
+                   std::vector<hh::sim::EventId> &pending,
+                   std::uint64_t &sink, hh::sim::Cycles horizon,
+                   double cancelProb)
+{
+    pending.push_back(
+        q.schedule(now + 1 + rng.uniformInt(std::uint64_t{horizon}),
+                   [&sink] { ++sink; }));
+    if (rng.bernoulli(cancelProb) && !pending.empty()) {
+        const auto victim =
+            rng.uniformInt(std::uint64_t{pending.size()});
+        q.cancel(pending[victim]);
+        pending[victim] = pending.back();
+        pending.pop_back();
+    }
+    if (!q.empty()) {
+        auto cb = q.pop(now);
+        if (cb)
+            cb();
+    }
+    return sink;
+}
+
+/** Workload presets for the event-queue benchmarks (see above). */
+struct QueueMixPreset
+{
+    const char *name;
+    hh::sim::Cycles horizon;
+    double cancelProb;
+};
+
+inline constexpr QueueMixPreset kQueueMixPresets[] = {
+    {"near", 50, 0.25},
+    {"far", hh::sim::Cycles{1} << 20, 0.25},
+    {"cancel", 50, 0.75},
+};
 
 } // namespace hh::bench
 

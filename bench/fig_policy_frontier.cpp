@@ -2,9 +2,9 @@
  * @file
  * Harvest-policy frontier: batch throughput vs request P99 for every
  * harvest/reclaim policy (src/policy/) over the HardHarvest-Block
- * configuration, plus the two machine-checked frontier invariants
- * (StaticPolicy bit-identical to the legacy inlined path, hysteresis
- * no worse than static on batch throughput). See docs/POLICIES.md.
+ * configuration, plus the machine-checked frontier invariant
+ * (hysteresis no worse than static on batch throughput). See
+ * docs/POLICIES.md.
  *
  * Not a paper figure: the paper's hardware policy is fixed, so this
  * frontier is repo-specific evidence that the pluggable policies

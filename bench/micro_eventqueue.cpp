@@ -1,13 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the discrete-event queue hot
- * path: schedule/pop cycles, schedule/cancel churn, and a three-way
- * shootout — seed implementation (std::function + hash-map id
- * bookkeeping), slab binary heap, hierarchical timing wheel — across
- * the three workload mixes that stress different structures:
- * near-future-heavy (the server mix), far-future-heavy (spread
- * across coarse wheel levels), and cancel-heavy (dead-node
- * skipping/compaction).
+ * path (the hierarchical timing wheel): schedule/pop cycles,
+ * schedule/cancel churn, and the three workload mixes that stress
+ * different structures: near-future-heavy (the server mix),
+ * far-future-heavy (spread across coarse wheel levels), and
+ * cancel-heavy (dead-node skipping/compaction).
  */
 
 #include <benchmark/benchmark.h>
@@ -17,26 +15,25 @@
 #include <string_view>
 #include <vector>
 
-#include "legacy_event_queue.h"
+#include "bench_util.h"
 #include "sim/event_queue.h"
-#include "sim/event_queue_heap.h"
 #include "sim/inline_function.h"
 #include "sim/rng.h"
 
 namespace {
 
 using hh::sim::Cycles;
+using hh::sim::EventQueue;
 
 /** The parameterized schedule/cancel/pop workload mix. */
-template <typename Queue>
 void
 runMix(benchmark::State &state, const hh::bench::QueueMixPreset &p)
 {
     std::uint64_t sink = 0;
     hh::sim::Rng rng(7, 0xE0);
-    Queue q;
+    EventQueue q;
     Cycles now = 0;
-    std::vector<typename Queue::EventId> pending;
+    std::vector<hh::sim::EventId> pending;
     // Prime a window so pops always succeed.
     for (int i = 0; i < 64; ++i)
         pending.push_back(
@@ -58,32 +55,25 @@ preset(const char *name)
     __builtin_trap(); // presets are compile-time constants
 }
 
-#define HH_MIX_BENCH(Variant, Queue, Mix)                            \
-    void BM_EventQueueMix_##Variant##_##Mix(benchmark::State &state) \
+#define HH_MIX_BENCH(Mix)                                            \
+    void BM_EventQueueMix_##Mix(benchmark::State &state)             \
     {                                                                \
-        runMix<Queue>(state, preset(#Mix));                          \
+        runMix(state, preset(#Mix));                                 \
     }                                                                \
-    BENCHMARK(BM_EventQueueMix_##Variant##_##Mix)
+    BENCHMARK(BM_EventQueueMix_##Mix)
 
-HH_MIX_BENCH(Legacy, hh::bench::LegacyEventQueue, near);
-HH_MIX_BENCH(Legacy, hh::bench::LegacyEventQueue, far);
-HH_MIX_BENCH(Legacy, hh::bench::LegacyEventQueue, cancel);
-HH_MIX_BENCH(Heap, hh::sim::HeapEventQueue, near);
-HH_MIX_BENCH(Heap, hh::sim::HeapEventQueue, far);
-HH_MIX_BENCH(Heap, hh::sim::HeapEventQueue, cancel);
-HH_MIX_BENCH(Wheel, hh::sim::EventQueue, near);
-HH_MIX_BENCH(Wheel, hh::sim::EventQueue, far);
-HH_MIX_BENCH(Wheel, hh::sim::EventQueue, cancel);
+HH_MIX_BENCH(near);
+HH_MIX_BENCH(far);
+HH_MIX_BENCH(cancel);
 
 #undef HH_MIX_BENCH
 
 /** Pure schedule/pop cycles, no cancellation. */
-template <typename Queue>
 void
-runSchedulePop(benchmark::State &state)
+BM_EventQueueSchedulePop(benchmark::State &state)
 {
     std::uint64_t sink = 0;
-    Queue q;
+    EventQueue q;
     Cycles now = 0;
     for (int i = 0; i < 64; ++i)
         q.schedule(now + 1 + (i % 7), [&sink] { ++sink; });
@@ -94,34 +84,13 @@ runSchedulePop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
     benchmark::DoNotOptimize(sink);
 }
-
-void
-BM_EventQueueSchedulePop_Legacy(benchmark::State &state)
-{
-    runSchedulePop<hh::bench::LegacyEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueSchedulePop_Legacy);
-
-void
-BM_EventQueueSchedulePop_Heap(benchmark::State &state)
-{
-    runSchedulePop<hh::sim::HeapEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueSchedulePop_Heap);
-
-void
-BM_EventQueueSchedulePop_Wheel(benchmark::State &state)
-{
-    runSchedulePop<hh::sim::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueSchedulePop_Wheel);
+BENCHMARK(BM_EventQueueSchedulePop);
 
 /** Schedule + immediate cancel churn (superseded timers). */
-template <typename Queue>
 void
-runScheduleCancel(benchmark::State &state)
+BM_EventQueueScheduleCancel(benchmark::State &state)
 {
-    Queue q;
+    EventQueue q;
     std::uint64_t sink = 0;
     Cycles t = 1;
     for (auto _ : state) {
@@ -130,27 +99,7 @@ runScheduleCancel(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-void
-BM_EventQueueScheduleCancel_Legacy(benchmark::State &state)
-{
-    runScheduleCancel<hh::bench::LegacyEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueScheduleCancel_Legacy);
-
-void
-BM_EventQueueScheduleCancel_Heap(benchmark::State &state)
-{
-    runScheduleCancel<hh::sim::HeapEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueScheduleCancel_Heap);
-
-void
-BM_EventQueueScheduleCancel_Wheel(benchmark::State &state)
-{
-    runScheduleCancel<hh::sim::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueScheduleCancel_Wheel);
+BENCHMARK(BM_EventQueueScheduleCancel);
 
 /** Callback wrapper cost in isolation: construct + invoke. */
 void

@@ -1,20 +1,16 @@
 /**
  * @file
  * Shared harvest-policy frontier sweep: one telemetry-free cluster
- * run per policy in {legacy, static, hysteresis, critical, bandit},
- * rendered as a batch-throughput vs request-P99 frontier table plus
- * two machine-checked `policy-check` lines:
+ * run per policy in {static, hysteresis, critical, bandit}, rendered
+ * as a batch-throughput vs request-P99 frontier table plus a
+ * machine-checked `policy-check` line:
  *
- *   policy-check static==legacy: PASS|FAIL
- *       StaticPolicy must be bit-identical to the legacy inlined
- *       knob reads (ClusterResults::serialized() equality) — the
- *       regression guard on the policy extraction.
  *   policy-check hysteresis>=static: PASS|FAIL
  *       The first adaptive policy must not lose batch throughput
  *       against the frozen baseline at this scale.
  *
  * Used by fig_policy_frontier and `repro_all --policies` so both
- * print byte-identical tables; CI greps the PASS lines.
+ * print byte-identical tables; CI greps the PASS line.
  */
 
 #ifndef HH_BENCH_POLICY_FRONTIER_H
@@ -49,8 +45,8 @@ meanBatchThroughput(const hh::cluster::ClusterResults &res)
 }
 
 /**
- * Run the frontier: every known policy (including the differential
- * "legacy" baseline) over the same scale, seed, and worker count.
+ * Run the frontier: every known policy over the same scale, seed,
+ * and worker count.
  */
 inline std::vector<PolicyPoint>
 runPolicyFrontier(const hh::cluster::SystemConfig &base,
@@ -87,31 +83,21 @@ printPolicyFrontier(const std::vector<PolicyPoint> &points)
 }
 
 /**
- * The two frontier invariants; prints one grep-able line each and
- * returns the number of failures.
+ * The frontier invariant; prints one grep-able line and returns the
+ * number of failures.
  */
 inline int
 checkPolicyFrontier(const std::vector<PolicyPoint> &points)
 {
-    const PolicyPoint *legacy = nullptr;
     const PolicyPoint *stat = nullptr;
     const PolicyPoint *hyst = nullptr;
     for (const auto &p : points) {
-        if (p.policy == "legacy")
-            legacy = &p;
-        else if (p.policy == "static")
+        if (p.policy == "static")
             stat = &p;
         else if (p.policy == "hysteresis")
             hyst = &p;
     }
     int failures = 0;
-    if (legacy && stat) {
-        const bool ok = stat->results.serialized() ==
-                        legacy->results.serialized();
-        std::printf("policy-check static==legacy: %s\n",
-                    ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    }
     if (stat && hyst) {
         const double s = meanBatchThroughput(stat->results);
         const double h = meanBatchThroughput(hyst->results);

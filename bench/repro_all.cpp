@@ -300,10 +300,10 @@ main(int argc, char **argv)
     }
 
     // --policies: the harvest-policy frontier sweep (one cluster run
-    // per policy at this scale) plus its two machine-checked
-    // invariants. Policy runs are plain runCluster calls outside the
-    // scheduler: the frontier compares whole-run serializations, which
-    // the ledger codec deliberately does not carry.
+    // per policy at this scale) plus its machine-checked invariant.
+    // Policy runs are plain runCluster calls outside the scheduler:
+    // the frontier needs whole-run results, which the ledger codec
+    // deliberately does not carry.
     int policy_failures = 0;
     if (args.policies) {
         hh::cluster::SystemConfig pcfg = hh::cluster::makeSystem(
@@ -338,7 +338,7 @@ main(int argc, char **argv)
     }
 
     // --graphs: the service-graph fleet sweep (src/svc/): layered
-    // RPC DAGs of depth 1..3 over every non-legacy harvest policy,
+    // RPC DAGs of depth 1..3 over every harvest policy,
     // with the fleet harvesting-economics table and the per-policy
     // depth-monotone P99 check. Fleet runs are cross-server
     // simulations outside the scheduler: the ledger codec carries
@@ -347,11 +347,8 @@ main(int argc, char **argv)
     if (args.graphs) {
         const unsigned graph_servers = envUnsigned(
             "HH_GRAPH_SERVERS", args.scale == "full" ? 64 : 16);
-        std::vector<std::string> policies;
-        for (const std::string &p : hh::policy::harvestPolicyNames()) {
-            if (p != "legacy")
-                policies.push_back(p);
-        }
+        const std::vector<std::string> &policies =
+            hh::policy::harvestPolicyNames();
         // Graph fleets multiply the classic cluster's work by the
         // fleet size, so they run at a quarter of the per-VM arrival
         // budget (HH_REQUESTS still wins through the usual quarter).

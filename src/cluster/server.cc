@@ -71,9 +71,8 @@ ServerSim::ServerSim(const SystemConfig &cfg, const std::string &batchApp,
     buildVms(batchApp);
     buildCores();
 
-    // Harvest policy (PR 8): constructed eagerly so snapshot restore
-    // always finds its re-arm target; "legacy" keeps the pre-policy
-    // inlined knob reads (differential testing).
+    // Harvest policy: constructed eagerly so snapshot restore always
+    // finds its re-arm target. Never null past this point.
     std::string policy_err;
     policy_ = hh::policy::makeHarvestPolicy(policyConfig(),
                                             &policy_err);
@@ -1333,32 +1332,19 @@ ServerSim::completeRequest(unsigned core, std::uint64_t reqId)
 bool
 ServerSim::blockHarvestAllowed(std::uint32_t vm) const
 {
-    if (policy_) {
-        switch (policy_->decision(vm).blockMode) {
-        case hh::policy::BlockHarvestMode::Never:
-            return false;
-        case hh::policy::BlockHarvestMode::AdaptiveEwma:
-            // Adaptive extension (§4.1.5): the EWMA updates at I/O
-            // block time, between policy epochs, so it is evaluated
-            // here at lend time rather than frozen into the decision.
-            return ewma_block_cycles_[vm] >=
-                   static_cast<double>(cfg_.adaptiveBlockThreshold);
-        case hh::policy::BlockHarvestMode::Always:
-            return true;
-        }
+    switch (policy_->decision(vm).blockMode) {
+    case hh::policy::BlockHarvestMode::Never:
+        return false;
+    case hh::policy::BlockHarvestMode::AdaptiveEwma:
+        // Adaptive extension (§4.1.5): when this VM's requests block
+        // only briefly, harvesting the core is a net loss. The EWMA
+        // updates at I/O block time, between policy epochs, so it is
+        // evaluated here at lend time rather than frozen into the
+        // decision.
+        return ewma_block_cycles_[vm] >=
+               static_cast<double>(cfg_.adaptiveBlockThreshold);
+    case hh::policy::BlockHarvestMode::Always:
         return true;
-    }
-    // Legacy inlined path ("policy=legacy"): kept verbatim so the
-    // StaticPolicy extraction can be differentially tested.
-    if (!cfg_.harvestOnBlock)
-        return false;
-    // Adaptive extension (§4.1.5): when this VM's requests block
-    // only briefly, harvesting the core is a net loss; fall back to
-    // harvest-on-termination behaviour.
-    if (cfg_.adaptiveHarvest &&
-        ewma_block_cycles_[vm] <
-            static_cast<double>(cfg_.adaptiveBlockThreshold)) {
-        return false;
     }
     return true;
 }
@@ -1373,16 +1359,14 @@ ServerSim::coreLendable(unsigned core) const
     if (ctx.phase != Phase::Idle || ctx.onLoan)
         return false;
     // Policy gate: a held VM lends nothing at all.
-    if (policy_ && !policy_->decision(vm).lendAllowed)
+    if (!policy_->decision(vm).lendAllowed)
         return false;
     // Term-style harvesting never lends a core whose request is
     // blocked on I/O (the core is kept for the response).
     if (!blockHarvestAllowed(vm) && ctx.anchoredBlocked > 0)
         return false;
     // Burst-buffer extension (§4.1.5): keep some idle cores ready.
-    const unsigned ebuf = policy_
-                              ? policy_->decision(vm).emergencyBuffer
-                              : cfg_.hwEmergencyBuffer;
+    const unsigned ebuf = policy_->decision(vm).emergencyBuffer;
     if (ebuf > 0 && idleBoundCores(vm) <= ebuf)
         return false;
     const auto *qm = ctrl_->qmFor(vm);
@@ -1883,7 +1867,7 @@ ServerSim::agentTick()
             continue;
         // Policy gate mirroring coreLendable's: a held VM lends
         // nothing through the software agent either.
-        if (policy_ && !policy_->decision(vm).lendAllowed)
+        if (!policy_->decision(vm).lendAllowed)
             continue;
 
         // Thrash avoidance: after a reclaim, wait out a backoff
@@ -2096,8 +2080,6 @@ ServerSim::stopPolicy()
 void
 ServerSim::applyPolicyDecisions()
 {
-    if (!policy_)
-        return;
     for (auto &v : vms_) {
         if (!v.desc.isPrimary())
             continue;
@@ -2139,26 +2121,16 @@ ServerSim::leaseTick()
         if (!v.desc.isPrimary())
             continue;
         const std::uint32_t vm = v.desc.id;
-        // The policy's per-VM cache-lend decision; the "legacy"
-        // selector falls back to the raw config knobs (== static).
-        bool allowed = cfg_.cacheLendEnabled;
-        double l2f = cfg_.cacheLendL2WayFraction;
-        unsigned l3w = cfg_.cacheLendL3Ways;
-        if (policy_) {
-            const auto &d = policy_->decision(vm);
-            allowed = d.cacheLendAllowed;
-            l2f = d.cacheLendL2Fraction;
-            l3w = d.cacheLendL3Ways;
-        }
+        const auto &d = policy_->decision(vm);
         if (lease_mgr_->active(vm)) {
-            if (!allowed)
+            if (!d.cacheLendAllowed)
                 leaseRelease(vm, false);
             else if (lease_mgr_->expired(vm, sim_.now()))
                 leaseRelease(vm, true); // eligible to re-grant below
         }
-        if (!lease_mgr_->active(vm) && allowed && l3w > 0 &&
-            vmHasIdleCapacity(vm))
-            leaseGrant(vm, l2f, l3w);
+        if (!lease_mgr_->active(vm) && d.cacheLendAllowed &&
+            d.cacheLendL3Ways > 0 && vmHasIdleCapacity(vm))
+            leaseGrant(vm, d.cacheLendL2Fraction, d.cacheLendL3Ways);
     }
     lease_pending_ = sim_.schedule(
         std::max<Cycles>(1, cfg_.cacheLendPeriod),
@@ -2383,9 +2355,8 @@ ServerSim::startRun()
             [this] { telemetryTick(); });
     }
     // Policy epoch tick. The static policy wants no tick, so its
-    // event stream (and thus the run) is identical to the legacy
-    // path's — the extraction is pure refactoring there.
-    if (policy_ && policy_->wantsEpochTick()) {
+    // runs schedule no policy events at all.
+    if (policy_->wantsEpochTick()) {
         policy_view_ = std::make_unique<hh::stats::ObservationView>();
         policy_running_ = true;
         policy_pending_ = sim_.schedule(
@@ -2671,8 +2642,7 @@ ServerSim::serializeState(hh::snap::Archive &ar)
         telemetry_ = std::make_unique<hh::stats::ObservationView>();
     // And for the policy's epoch view (pending kPolicyTick re-arm
     // target); policy state arrives in section 0x16 below.
-    if (ar.loading() && policy_ && policy_->wantsEpochTick() &&
-        !policy_view_)
+    if (ar.loading() && policy_->wantsEpochTick() && !policy_view_)
         policy_view_ = std::make_unique<hh::stats::ObservationView>();
 
     ar.section(0x10, "simulator");
@@ -2814,31 +2784,30 @@ ServerSim::serializeState(hh::snap::Archive &ar)
     if (!ar.ok())
         return;
 
-    // Harvest policy (PR 8). cfg_.policy is part of the config
-    // fingerprint, so cluster-level restores reject mismatches
-    // before reaching this check; the presence flag guards direct
-    // saveState/loadState users the same way section 0x15 does.
+    // Harvest policy. cfg_.policy is part of the config fingerprint,
+    // so cluster-level restores reject a policy mismatch up front.
+    // The presence byte is always true now; checkpoints keep it so
+    // their bytes are unchanged, and a false one can only come from
+    // the removed "legacy" selector, which had no policy object.
     ar.section(0x16, "policy");
-    bool have_policy = policy_ != nullptr;
+    bool have_policy = true;
     ar.io(have_policy);
-    if (ar.loading() && have_policy != (policy_ != nullptr)) {
-        ar.fail("checkpoint harvest-policy state does not match this "
-                "run; restore with the same policy= setting the "
-                "saving run used");
+    if (!have_policy) {
+        ar.fail("checkpoint was saved under the removed policy=legacy "
+                "selector; re-run it with policy=static, which "
+                "produces the same results");
         return;
     }
-    if (policy_) {
-        policy_->serialize(ar);
-        ar.io(policy_applied_fraction_);
-        // The repartitioned way masks themselves ride sections 0x11
-        // (QM masks) and 0x13 (core hierarchies), so nothing is
-        // re-applied here; policy_applied_fraction_ keeps the
-        // change-detection in applyPolicyDecisions coherent.
-        if (policy_->wantsEpochTick()) {
-            ar.io(policy_running_);
-            ar.io(policy_pending_);
-            ar.io(*policy_view_);
-        }
+    policy_->serialize(ar);
+    ar.io(policy_applied_fraction_);
+    // The repartitioned way masks themselves ride sections 0x11
+    // (QM masks) and 0x13 (core hierarchies), so nothing is
+    // re-applied here; policy_applied_fraction_ keeps the
+    // change-detection in applyPolicyDecisions coherent.
+    if (policy_->wantsEpochTick()) {
+        ar.io(policy_running_);
+        ar.io(policy_pending_);
+        ar.io(*policy_view_);
     }
     if (!ar.ok())
         return;

@@ -325,7 +325,7 @@ class ServerSim
         return telemetry_.get();
     }
 
-    /** The harvest policy, or nullptr under the "legacy" selector. */
+    /** The harvest policy (never null). */
     hh::policy::HarvestPolicy *harvestPolicy()
     {
         return policy_.get();
@@ -712,7 +712,7 @@ class ServerSim
     /** @} */
 
     /** @name Harvest policy (PR 8) @{ */
-    /** Null only under the "legacy" selector. */
+    /** Built in the constructor for cfg.policy; never null. */
     std::unique_ptr<hh::policy::HarvestPolicy> policy_;
     /** Policy's own epoch view; null unless wantsEpochTick(). */
     std::unique_ptr<hh::stats::ObservationView> policy_view_;

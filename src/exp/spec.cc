@@ -36,14 +36,38 @@ parseUnsigned(const std::string &v, unsigned *out)
     return true;
 }
 
+/** Parse a finite double; NaN and infinities are rejected, so no
+ *  double key needs its own NaN check. */
 bool
 parseDouble(const std::string &v, double *out)
 {
     char *end = nullptr;
     const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
+    if (end == v.c_str() || *end != '\0' || !std::isfinite(parsed))
         return false;
     *out = parsed;
+    return true;
+}
+
+/**
+ * Parse a millisecond period into cycles. It must convert to at least
+ * one cycle (a 0-cycle period re-arms its tick at the same instant
+ * forever) and fit in Cycles (the cast of a larger double is
+ * undefined).
+ */
+bool
+parseMsPeriod(const std::string &v, hh::sim::Cycles *out)
+{
+    double ms = 0;
+    if (!parseDouble(v, &ms))
+        return false;
+    // The same product msToCycles() truncates; 2^64 is the first double
+    // past the Cycles range.
+    const double cycles =
+        ms * 1000.0 * static_cast<double>(hh::sim::kCyclesPerUs);
+    if (!(cycles >= 1.0 && cycles < 18446744073709551616.0))
+        return false;
+    *out = hh::sim::msToCycles(ms);
     return true;
 }
 
@@ -185,6 +209,9 @@ bool
 applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
              const std::string &value, std::string *error)
 {
+    constexpr const char *kBadPeriod =
+        "period must be a finite number of ms worth at least one "
+        "cycle, got";
     const auto fail = [&](const char *what) {
         if (error)
             *error = "key \"" + key + "\": " + what + " \"" + value +
@@ -212,16 +239,23 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
                fail("bad unsigned");
 
     // double fields
-    if (key == "loadScale")
-        return parseDouble(value, &cfg.loadScale) || fail("bad double");
-    if (key == "warmupFraction")
-        return parseDouble(value, &cfg.warmupFraction) ||
-               fail("bad double");
+    if (key == "loadScale") {
+        double f = 0;
+        if (!parseDouble(value, &f) || f <= 0.0)
+            return fail("bad positive double");
+        cfg.loadScale = f;
+        return true;
+    }
+    if (key == "warmupFraction") {
+        double f = 0;
+        if (!parseDouble(value, &f) || f < 0.0 || f >= 1.0)
+            return fail("warmupFraction must be in [0, 1), got");
+        cfg.warmupFraction = f;
+        return true;
+    }
     if (key == "candidateFraction") {
         double f = 0;
-        if (!parseDouble(value, &f))
-            return fail("bad double");
-        if (!(f > 0.0 && f <= 1.0)) // also rejects NaN
+        if (!parseDouble(value, &f) || f <= 0.0 || f > 1.0)
             return fail("candidateFraction must be in (0, 1], got");
         cfg.candidateFraction = f;
         return true;
@@ -248,9 +282,13 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
             return false;
         return true;
     }
-    if (key == "llcMbPerCore")
-        return parseDouble(value, &cfg.llcMbPerCore) ||
-               fail("bad double");
+    if (key == "llcMbPerCore") {
+        double mb = 0;
+        if (!parseDouble(value, &mb) || mb <= 0.0)
+            return fail("bad positive double");
+        cfg.llcMbPerCore = mb;
+        return true;
+    }
 
     // bool fields
     if (key == "harvesting")
@@ -287,18 +325,14 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
     // harvest policy (PR 8)
     if (key == "policy") {
         if (!hh::policy::knownHarvestPolicy(value))
-            return fail("unknown harvest policy (expected legacy, "
-                        "static, hysteresis, critical or bandit), got");
+            return fail("unknown harvest policy (expected static, "
+                        "hysteresis, critical or bandit), got");
         cfg.policy = value;
         return true;
     }
-    if (key == "policyPeriodMs") {
-        double ms = 0;
-        if (!parseDouble(value, &ms) || ms <= 0.0)
-            return fail("bad positive double");
-        cfg.policyPeriod = hh::sim::msToCycles(ms);
-        return true;
-    }
+    if (key == "policyPeriodMs")
+        return parseMsPeriod(value, &cfg.policyPeriod) ||
+               fail(kBadPeriod);
     if (key == "policyClusters") {
         unsigned n = 0;
         if (!parseUnsigned(value, &n) || n == 0)
@@ -377,20 +411,12 @@ applySpecKey(hh::cluster::SystemConfig &cfg, const std::string &key,
         cfg.cacheLendL2WayFraction = f;
         return true;
     }
-    if (key == "cacheLendPeriodMs") {
-        double ms = 0;
-        if (!parseDouble(value, &ms) || ms <= 0.0)
-            return fail("bad positive double");
-        cfg.cacheLendPeriod = hh::sim::msToCycles(ms);
-        return true;
-    }
-    if (key == "cacheLendTermMs") {
-        double ms = 0;
-        if (!parseDouble(value, &ms) || ms <= 0.0)
-            return fail("bad positive double");
-        cfg.cacheLendTerm = hh::sim::msToCycles(ms);
-        return true;
-    }
+    if (key == "cacheLendPeriodMs")
+        return parseMsPeriod(value, &cfg.cacheLendPeriod) ||
+               fail(kBadPeriod);
+    if (key == "cacheLendTermMs")
+        return parseMsPeriod(value, &cfg.cacheLendTerm) ||
+               fail(kBadPeriod);
 
     // enums
     if (key == "repl") {

@@ -15,8 +15,7 @@
  *
  * Four implementations ship:
  *  - `static`     — freezes today's SystemConfig knobs into one
- *                   immutable decision set; bit-identical to the
- *                   legacy inlined code path (regression-tested).
+ *                   immutable decision set (golden-digest tested).
  *  - `hysteresis` — per-VM EWMA core-utilization thresholds with a
  *                   reclaim guard band between them.
  *  - `critical`   — k-means clustering of VMs by MPKI/occupancy with
@@ -26,11 +25,6 @@
  *                   reward = batch per lent core-second minus a
  *                   P99-violation penalty (the same economics the
  *                   TelemetryHub reports fleet-wide).
- *
- * The selector string "legacy" is also accepted and means "no policy
- * object at all": the server keeps its pre-policy inlined reads of
- * the SystemConfig knobs. It exists so the StaticPolicy extraction
- * can be differentially tested against the original code path.
  *
  * Determinism contract: policies are plain deterministic state
  * machines over the observation stream (the bandit's exploration
@@ -167,8 +161,7 @@ class HarvestPolicy
 
     /**
      * Whether the policy consumes epoch rows at all. When false (the
-     * static policy) the server schedules no policy tick and the
-     * event stream is identical to the legacy path's.
+     * static policy) the server schedules no policy tick.
      */
     virtual bool wantsEpochTick() const { return true; }
 
@@ -211,15 +204,14 @@ class HarvestPolicy
 };
 
 /**
- * Build the policy selected by @p cfg.kind, or nullptr for "legacy"
- * (no policy object; the server keeps the inlined knob reads). On an
- * unknown selector returns nullptr with @p error set; "legacy"
- * leaves @p error empty.
+ * Build the policy selected by @p cfg.kind. On an unknown selector
+ * returns nullptr with @p error set; every name harvestPolicyNames()
+ * lists yields a policy and leaves @p error empty.
  */
 std::unique_ptr<HarvestPolicy>
 makeHarvestPolicy(const PolicyConfig &cfg, std::string *error = nullptr);
 
-/** All valid selector strings, "legacy" included. */
+/** All valid selector strings. */
 const std::vector<std::string> &harvestPolicyNames();
 
 /** True when @p name is a valid selector. */

@@ -15,9 +15,8 @@ namespace hh::policy {
 
 /**
  * Freezes the SystemConfig knobs into one immutable decision set.
- * Needs no epoch tick, so a static-policy run schedules exactly the
- * same events as the legacy inlined path — the A/B differential test
- * asserts bit-identical results.
+ * Needs no epoch tick, so a static-policy run schedules no policy
+ * events; golden digests pin its results.
  */
 class StaticPolicy final : public HarvestPolicy
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "sim/log.h"
 #include "snapshot/archive.h"
@@ -86,8 +87,7 @@ EventQueue::schedule(Cycles when, Callback cb)
     rec.cb = std::move(cb);
     // Contract-violating schedules into the past (when < org_ can
     // only follow when < last_popped_) re-anchor the whole wheel so
-    // pop still delivers the global (when, seq) minimum, exactly as
-    // the reference heap would.
+    // pop still delivers the global (when, seq) minimum.
     if (when < org_)
         rebaseDown(when);
     place(Node{when, next_seq_++, slot, rec.gen});
@@ -405,8 +405,18 @@ EventQueue::serialize(hh::snap::Archive &ar, const RearmFn &rearm)
         return;
     }
 
+    // Every count is bounded by the bytes left before anything is
+    // allocated for it, and the slab bookkeeping is cross-checked
+    // before any state is replaced: a corrupt stream fails the
+    // archive and leaves the queue untouched.
     std::uint64_t n = 0;
     ar.io(n);
+    if (ar.ok() && n > ar.remaining()) {
+        ar.fail("event queue snapshot: " + std::to_string(n) +
+                " live events exceed " +
+                std::to_string(ar.remaining()) + " remaining bytes");
+        return;
+    }
     struct Saved
     {
         Node node;
@@ -423,16 +433,9 @@ EventQueue::serialize(hh::snap::Archive &ar, const RearmFn &rearm)
         ar.io(s.tag);
         saved.push_back(s);
     }
-    std::uint64_t slots = 0;
-    ar.io(slots);
-    if (ar.loading() && slots > (1u << 28)) {
-        ar.fail("event queue snapshot: implausible slab size");
-        return;
-    }
-    std::vector<std::uint32_t> gens(
-        static_cast<std::size_t>(slots));
-    for (auto &g : gens)
-        ar.io(g);
+    // Same encoding as the save side's count + per-slot loop.
+    std::vector<std::uint32_t> gens;
+    ar.io(gens);
     std::vector<std::uint32_t> free_slots;
     ar.io(free_slots);
     std::uint64_t next_seq = 0;
@@ -443,6 +446,47 @@ EventQueue::serialize(hh::snap::Archive &ar, const RearmFn &rearm)
     ar.io(monotonic);
     if (!ar.ok())
         return;
+
+    // Each slot is live at most once or free at most once, never
+    // both; live entries carry their slot's generation and strictly
+    // ascending seqs below next_seq (the order placement relies on).
+    std::vector<bool> taken(gens.size(), false);
+    for (std::size_t i = 0; i < saved.size(); ++i) {
+        const Node &e = saved[i].node;
+        if (e.slot >= gens.size() || taken[e.slot]) {
+            ar.fail("event queue snapshot: live event slot " +
+                    std::to_string(e.slot) +
+                    " is out of range or repeated (slab of " +
+                    std::to_string(gens.size()) + ")");
+            return;
+        }
+        if (e.gen != gens[e.slot]) {
+            ar.fail("event queue snapshot: live event generation " +
+                    std::to_string(e.gen) + " does not match slot " +
+                    std::to_string(e.slot) + "'s " +
+                    std::to_string(gens[e.slot]));
+            return;
+        }
+        if (e.seq >= next_seq ||
+            (i > 0 && e.seq <= saved[i - 1].node.seq)) {
+            ar.fail("event queue snapshot: live event seq " +
+                    std::to_string(e.seq) +
+                    " is out of order or not below next seq " +
+                    std::to_string(next_seq));
+            return;
+        }
+        taken[e.slot] = true;
+    }
+    for (const std::uint32_t f : free_slots) {
+        if (f >= gens.size() || taken[f]) {
+            ar.fail("event queue snapshot: free slot " +
+                    std::to_string(f) +
+                    " is out of range, repeated or live (slab of " +
+                    std::to_string(gens.size()) + ")");
+            return;
+        }
+        taken[f] = true;
+    }
 
     for (auto &level : wheel_) {
         for (auto &b : level)
@@ -459,10 +503,6 @@ EventQueue::serialize(hh::snap::Archive &ar, const RearmFn &rearm)
     // tie-breaking, and the first pop cascades the wheel forward.
     org_ = 0;
     for (const Saved &s : saved) {
-        if (s.node.slot >= slab_.size()) {
-            ar.fail("event queue snapshot: slot out of range");
-            return;
-        }
         Record &rec = slab_[s.node.slot];
         rec.tag = s.tag;
         rec.cb = rearm(s.tag);

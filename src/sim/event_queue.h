@@ -7,12 +7,11 @@
  * be cancelled by id (used for timers that are superseded, e.g. a
  * polling core that gets a hardware notification first).
  *
- * Hot-path design: a three-level hierarchical timing wheel replaces
- * the earlier binary heap (kept as `HeapEventQueue` for differential
- * testing). Level g covers 256 buckets of 2^(8g)-cycle granularity,
- * so the wheel spans 2^24 cycles (~5.6 ms at 3 GHz) from its origin;
- * later events wait in an overflow min-heap ("far list") ordered by
- * (when, seq). Bucket occupancy is tracked in 256-bit bitmaps, so
+ * Hot-path design: a three-level hierarchical timing wheel. Level g
+ * covers 256 buckets of 2^(8g)-cycle granularity, so the wheel spans
+ * 2^24 cycles (~5.6 ms at 3 GHz) from its origin; later events wait
+ * in an overflow min-heap ("far list") ordered by (when, seq).
+ * Bucket occupancy is tracked in 256-bit bitmaps, so
  * finding the earliest event is a handful of countr_zero scans, and a
  * level-0 bucket holds exactly one timestamp, making same-cycle pops
  * a bump of the bucket cursor — the property `Simulator::run()`'s
@@ -27,17 +26,17 @@
  * lazily, with periodic compaction keeping stored nodes proportional
  * to the number of live events.
  *
- * Determinism contract (identical to the heap implementation):
- * pops deliver the globally minimal (when, seq) pair, where seq is
- * the schedule-order sequence number. Cascading preserves this
- * because (a) within any bucket, equal-time nodes appear in ascending
- * seq order — schedules append in seq order, cascades redistribute in
- * stored order, and the far heap drains in (when, seq) order — and
- * (b) every node moved by a cascade was scheduled before any node a
- * later schedule() appends behind it. The serialize() encoding is
- * structure-independent (live events sorted by seq, plus the slab
- * generation/free-slot state), so checkpoints written by the heap
- * restore on the wheel byte-for-byte and vice versa.
+ * Determinism contract: pops deliver the globally minimal (when, seq)
+ * pair, where seq is the schedule-order sequence number. Cascading
+ * preserves this because (a) within any bucket, equal-time nodes
+ * appear in ascending seq order — schedules append in seq order,
+ * cascades redistribute in stored order, and the far heap drains in
+ * (when, seq) order — and (b) every node moved by a cascade was
+ * scheduled before any node a later schedule() appends behind it.
+ * The serialize() encoding is structure-independent (live events
+ * sorted by seq, plus the slab generation/free-slot state); it is the
+ * encoding the binary heap that preceded the wheel wrote, so older
+ * checkpoints still load.
  */
 
 #ifndef HH_SIM_EVENT_QUEUE_H
@@ -160,8 +159,12 @@ class EventQueue
      * event; loading invokes @p rearm once per live event to rebuild
      * its callback into the original slot. Dead (cancelled) nodes
      * are dropped at save, which is observationally equivalent to
-     * compaction having run. The byte stream is identical to the one
-     * `HeapEventQueue` produces for the same logical state.
+     * compaction having run. Loading validates the stream before
+     * replacing any state: counts must fit in the remaining bytes,
+     * every live slot must be in range, unique and carry its slot's
+     * generation, seqs must ascend below next_seq, and free slots
+     * must be in range, unique and not live; otherwise the archive
+     * fails and the queue is left as it was.
      */
     void serialize(hh::snap::Archive &ar, const RearmFn &rearm);
 

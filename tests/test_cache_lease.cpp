@@ -247,8 +247,7 @@ TEST_P(LeaseConformance, WorkerCountsAndMidLeaseResumeAreByteIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(LeasePolicies, LeaseConformance,
-                         ::testing::Values("legacy", "static",
-                                           "hysteresis"));
+                         ::testing::Values("static", "hysteresis"));
 
 TEST(LeaseCheckpoint, MismatchedLendKnobsRejectCheckpoint)
 {

@@ -189,3 +189,78 @@ TEST(ExpSpec, SystemKindNamesResolveBothForms)
     EXPECT_FALSE(systemKindByName("hardharvestblock", &k));
     EXPECT_FALSE(systemKindByName("", &k));
 }
+
+TEST(ExpSpec, NonFiniteDoublesAreRejected)
+{
+    // Every double-valued key, with a value it accepts (the sweep
+    // axes below pair it with the bad one).
+    const struct
+    {
+        const char *key;
+        const char *good;
+    } keys[] = {{"loadScale", "1"},
+                {"warmupFraction", "0.1"},
+                {"candidateFraction", "1"},
+                {"harvestWayFraction", "0.5"},
+                {"waysFraction", "1"},
+                {"llcMbPerCore", "2"},
+                {"policyPeriodMs", "1"},
+                {"policyEwmaAlpha", "0.3"},
+                {"policyLendUtil", "0.35"},
+                {"policyHoldUtil", "1"},
+                {"policyEpsilon", "0.1"},
+                {"policyP99TargetMs", "10"},
+                {"policyP99Penalty", "1"},
+                {"cacheLendL2WayFraction", "0.25"},
+                {"cacheLendPeriodMs", "1"},
+                {"cacheLendTermMs", "5"}};
+    ExperimentSpec spec;
+    std::string err;
+    for (const auto &k : keys) {
+        const std::string key(k.key);
+        ASSERT_TRUE(parseSpec(key + " = " + k.good + "\n", &spec, &err))
+            << err;
+        for (const char *bad : {"nan", "inf", "-inf", "1e999"}) {
+            SCOPED_TRACE(key + " = " + bad);
+            EXPECT_FALSE(parseSpec("name = x\n" + key + " = " + bad +
+                                       "\n",
+                                   &spec, &err));
+            EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+            EXPECT_NE(err.find(key), std::string::npos) << err;
+            EXPECT_FALSE(parseSpec("sweep." + key + " = " + k.good +
+                                       " " + bad + "\n",
+                                   &spec, &err));
+            EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+        }
+    }
+}
+
+TEST(ExpSpec, OutOfRangeScalesAreRejected)
+{
+    ExperimentSpec spec;
+    std::string err;
+    const struct
+    {
+        const char *key;
+        const char *bad;
+    } cases[] = {{"loadScale", "-1"},     {"loadScale", "0"},
+                 {"llcMbPerCore", "-2"},  {"llcMbPerCore", "0"},
+                 {"warmupFraction", "1"}, {"warmupFraction", "-0.1"}};
+    for (const auto &c : cases) {
+        const std::string line = std::string(c.key) + " = " + c.bad;
+        SCOPED_TRACE(line);
+        EXPECT_FALSE(parseSpec("name = x\n" + line + "\n", &spec, &err));
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_FALSE(parseSpec("sweep." + std::string(c.key) + " = " +
+                                   "0.5 " + c.bad + "\n",
+                               &spec, &err));
+        EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+    }
+    // The closed ends of each range still parse.
+    SystemConfig cfg;
+    EXPECT_TRUE(applySpecKey(cfg, "warmupFraction", "0", &err)) << err;
+    EXPECT_TRUE(applySpecKey(cfg, "warmupFraction", "0.99", &err))
+        << err;
+    EXPECT_TRUE(applySpecKey(cfg, "loadScale", "0.01", &err)) << err;
+    EXPECT_TRUE(applySpecKey(cfg, "llcMbPerCore", "0.5", &err)) << err;
+}

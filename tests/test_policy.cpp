@@ -1,17 +1,18 @@
 /**
  * @file
- * Harvest-policy subsystem tests (PR 8): the StaticPolicy A/B
- * differential against the legacy inlined knob reads, per-policy unit
- * behavior (hysteresis bands, critical-aware clustering, bandit
- * seeded determinism), the conformance contract (byte-identical
- * results and telemetry JSONL across worker counts and checkpoint
- * save/load/resume for every policy), spec-level validation of the
- * policy keys and degenerate harvest-way fractions, and the
+ * Harvest-policy subsystem tests: pinned digests of StaticPolicy
+ * runs, per-policy unit behavior (hysteresis bands, critical-aware
+ * clustering, bandit seeded determinism), the conformance contract
+ * (byte-identical results and telemetry JSONL across worker counts
+ * and checkpoint save/load/resume for every policy), spec-level
+ * validation of the policy keys, their periods and degenerate
+ * harvest-way fractions, and the
  * ObservationView epoch-boundary edges the policy tick relies on.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -106,20 +107,17 @@ vmMpki(std::uint32_t vm, double mpki, double occupancy)
 
 // ----------------------------------------------------------- factory
 
-TEST(PolicyFactory, KnownNamesConstructLegacyIsNull)
+TEST(PolicyFactory, EveryKnownNameConstructs)
 {
     for (const std::string &name : harvestPolicyNames()) {
         EXPECT_TRUE(knownHarvestPolicy(name)) << name;
         std::string err;
         auto p = makeHarvestPolicy(unitConfig(name, 9, 8), &err);
         EXPECT_TRUE(err.empty()) << err;
-        if (name == "legacy") {
-            EXPECT_EQ(p, nullptr);
-        } else {
-            ASSERT_NE(p, nullptr) << name;
-            EXPECT_EQ(p->name(), name);
-        }
+        ASSERT_NE(p, nullptr) << name;
+        EXPECT_EQ(p->name(), name);
     }
+    EXPECT_FALSE(knownHarvestPolicy("legacy"));
     EXPECT_FALSE(knownHarvestPolicy("nonsense"));
     std::string err;
     EXPECT_EQ(makeHarvestPolicy(unitConfig("nonsense", 9, 8), &err),
@@ -268,17 +266,35 @@ TEST(BanditPolicyTest, DefaultArmReproducesTheConfiguredKnobs)
     EXPECT_DOUBLE_EQ(d.harvestWayFraction, 0.9);
 }
 
-// ------------------------------------------- legacy/static differential
+// --------------------------------------------- static golden digests
 
-TEST(PolicyDifferential, StaticIsBitIdenticalToLegacyInlinedPath)
+namespace {
+
+/** FNV-1a 64-bit digest of a results string. */
+std::uint64_t
+fnv1a64(const std::string &s)
 {
-    // The tentpole regression guard: extracting the knob reads into
-    // StaticPolicy must not change a single byte of any run,
-    // including the adaptive-EWMA block mode and a nonzero emergency
-    // buffer, which exercise every read the extraction moved.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(PolicyGolden, StaticRunsArePinned)
+{
+    // StaticPolicy reads every harvest knob the server once inlined:
+    // the adaptive-EWMA block mode and a nonzero emergency buffer
+    // exercise each of those reads. The digests were captured from
+    // the inlined knob path and StaticPolicy together (both produced
+    // them), so any change to a static run's bytes fails here.
     SystemConfig base = makeSystem(SystemKind::HardHarvestBlock);
     base.requestsPerVm = 40;
     base.accessSampling = 16;
+    base.policy = "static";
 
     SystemConfig adaptive = base;
     adaptive.adaptiveHarvest = true;
@@ -289,18 +305,15 @@ TEST(PolicyDifferential, StaticIsBitIdenticalToLegacyInlinedPath)
     {
         const char *label;
         const SystemConfig &cfg;
-    } cases[] = {{"base", base},
-                 {"adaptiveHarvest", adaptive},
-                 {"emergencyBuffer", buffered}};
+        std::uint64_t digest;
+    } cases[] = {{"base", base, 0x3b84166d02ef6265ULL},
+                 {"adaptiveHarvest", adaptive, 0x06480413bd156627ULL},
+                 {"emergencyBuffer", buffered, 0xa1fa9d3046479be9ULL}};
     for (const auto &c : cases) {
         SCOPED_TRACE(c.label);
-        SystemConfig legacy = c.cfg;
-        legacy.policy = "legacy";
-        SystemConfig extracted = c.cfg;
-        extracted.policy = "static";
-        const ClusterResults l = runCluster(legacy, 2, 5, 2);
-        const ClusterResults s = runCluster(extracted, 2, 5, 2);
-        EXPECT_EQ(l.serialized(), s.serialized());
+        const std::uint64_t got =
+            fnv1a64(runCluster(c.cfg, 2, 5, 2).serialized());
+        EXPECT_EQ(got, c.digest) << std::hex << "0x" << got;
     }
 }
 
@@ -420,6 +433,40 @@ TEST(PolicySpec, BadPolicyValuesFailWithLineNumbers)
     EXPECT_NE(err.find("[0, 1]"), std::string::npos) << err;
     EXPECT_FALSE(hh::exp::parseSpec("policyPeriodMs = 0\n", &spec,
                                     &err));
+}
+
+TEST(PolicySpec, PeriodsMustBeAtLeastOneCycle)
+{
+    using hh::exp::applySpecKey;
+    using hh::exp::parseSpec;
+    hh::exp::ExperimentSpec spec;
+    std::string err;
+    // 1e-9 ms is 0.003 cycles (a tick that would re-arm at +0
+    // forever); 7e12 ms is past 2^64 cycles; 0 and negatives are no
+    // period at all.
+    const char *bad_values[] = {"1e-9", "7e12", "0", "-1", "nan", "inf"};
+    for (const char *key :
+         {"policyPeriodMs", "cacheLendPeriodMs", "cacheLendTermMs"}) {
+        const std::string k(key);
+        for (const char *bad : bad_values) {
+            SCOPED_TRACE(k + " = " + bad);
+            EXPECT_FALSE(parseSpec("name = p\n" + k + " = " + bad + "\n",
+                                   &spec, &err));
+            EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+            EXPECT_NE(err.find("at least one cycle"), std::string::npos)
+                << err;
+            EXPECT_FALSE(parseSpec("sweep." + k + " = 1 " + bad + "\n",
+                                   &spec, &err));
+            EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+        }
+        // One nanosecond is three cycles; 6e12 ms still fits Cycles.
+        SystemConfig cfg;
+        EXPECT_TRUE(applySpecKey(cfg, k, "1e-6", &err)) << err;
+        EXPECT_TRUE(applySpecKey(cfg, k, "6e12", &err)) << err;
+    }
+    SystemConfig cfg;
+    ASSERT_TRUE(applySpecKey(cfg, "policyPeriodMs", "1e-6", &err));
+    EXPECT_EQ(cfg.policyPeriod, 3u);
 }
 
 TEST(PolicySpec, DegenerateHarvestFractionsAreRejected)

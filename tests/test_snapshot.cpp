@@ -3,19 +3,22 @@
  * Unit tests for the snapshot subsystem's component round-trips: Rng
  * position-exactness and stream independence, SubQueue state with
  * overflow pending, a cache hierarchy mid-flush (hidden harvest
- * ways), and a full server saved while a lend/reclaim race is in
- * flight (the PR-1 regression state).
+ * ways), a full server saved while a lend/reclaim race is in flight
+ * (the PR-1 regression state), and the event queue: byte-identical
+ * round trips, pinned bytes, and corrupt streams that must fail the
+ * archive without touching the queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/hierarchy.h"
 #include "sim/event_queue.h"
-#include "sim/event_queue_heap.h"
 #include "cluster/server.h"
 #include "cluster/system_config.h"
 #include "core/rq.h"
@@ -321,16 +324,80 @@ TEST(SnapshotServer, ObservabilityMismatchIsRejected)
         << load.error();
 }
 
+// Section 0x16 still carries a policy-presence byte, always true; a
+// false one (a checkpoint from the removed "legacy" selector) must
+// fail the archive with a message naming the selector.
+TEST(SnapshotServer, PolicyAbsentCheckpointIsRejected)
+{
+    hh::cluster::SystemConfig cfg = hh::cluster::makeSystem(
+        hh::cluster::SystemKind::HardHarvestBlock);
+    cfg.requestsPerVm = 40;
+
+    hh::cluster::ServerSim a(cfg, "BFS", 3);
+    a.startRun();
+    a.advanceRun(hh::sim::msToCycles(0.5));
+    auto save = Archive::forSave();
+    a.saveState(save);
+    ASSERT_TRUE(save.ok());
+    std::vector<std::uint8_t> bytes = save.take();
+
+    // Locate the section head: marker 0x16, presence byte, then the
+    // u64 length of the policy's per-VM decision vector.
+    auto head = Archive::forSave();
+    head.section(0x16, "policy");
+    bool present = true;
+    head.io(present);
+    std::uint64_t vms = a.harvestPolicy()->vmCount();
+    head.io(vms);
+    const std::vector<std::uint8_t> needle = head.take();
+    std::vector<std::size_t> hits;
+    for (auto it = bytes.begin();
+         (it = std::search(it, bytes.end(), needle.begin(),
+                           needle.end())) != bytes.end();
+         ++it)
+        hits.push_back(static_cast<std::size_t>(it - bytes.begin()));
+    ASSERT_EQ(hits.size(), 1u);
+    bytes[hits[0] + 4] = 0; // the presence byte follows the u32 marker
+
+    hh::cluster::ServerSim b(cfg, "BFS", 3);
+    auto load = Archive::forLoad(std::move(bytes));
+    b.loadState(load);
+    EXPECT_FALSE(load.ok());
+    EXPECT_NE(load.error().find("policy=legacy"), std::string::npos)
+        << load.error();
+}
+
 namespace {
+
+/** FNV-1a 64-bit digest of a byte stream. */
+std::uint64_t
+fnv1a64(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Deadline of populateQueue's event @p i. */
+hh::sim::Cycles
+populatedWhen(std::uint64_t i)
+{
+    return (i % 4 == 0)   ? 100
+           : (i % 4 == 1) ? 100 + i
+           : (i % 4 == 2) ? 5000 + 17 * i
+                          : (hh::sim::Cycles{1} << 21) + i;
+}
 
 /**
  * Build a queue with a mix of live and cancelled tagged events.
- * The schedule pattern lands events across wheel levels (and the
- * heap's sift paths): ties, near, mid and far deadlines.
+ * The schedule pattern lands events across wheel levels: ties, near,
+ * mid and far deadlines. Every fifth event is cancelled.
  */
-template <typename Queue>
-void
-populateQueue(Queue &q)
+std::vector<hh::sim::EventId>
+populateQueue(hh::sim::EventQueue &q)
 {
     using hh::snap::SnapTag;
     std::vector<hh::sim::EventId> ids;
@@ -338,23 +405,30 @@ populateQueue(Queue &q)
         SnapTag tag;
         tag.kind = SnapTag::kCoreIdle;
         tag.a = i; // ordinal; checked by the rearm callbacks
-        const hh::sim::Cycles when =
-            (i % 4 == 0) ? 100
-                         : (i % 4 == 1) ? 100 + i
-                                        : (i % 4 == 2)
-                                  ? 5000 + 17 * i
-                                  : (hh::sim::Cycles{1} << 21) + i;
-        ids.push_back(q.schedule(when, tag, [] {}));
+        ids.push_back(q.schedule(populatedWhen(i), tag, [] {}));
     }
     // Tombstones: cancelled events must vanish from the snapshot
     // without perturbing the surviving (time, seq) order.
     for (std::size_t i = 0; i < ids.size(); i += 5)
         EXPECT_TRUE(q.cancel(ids[i]));
+    return ids;
 }
 
-template <typename Queue>
+/** The (time, ordinal) stream populateQueue's survivors pop in. */
+std::vector<std::pair<hh::sim::Cycles, std::uint64_t>>
+populatedStream()
+{
+    std::vector<std::pair<hh::sim::Cycles, std::uint64_t>> out;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        if (i % 5 != 0)
+            out.emplace_back(populatedWhen(i), i);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 std::vector<std::uint8_t>
-saveQueue(Queue &q)
+saveQueue(hh::sim::EventQueue &q)
 {
     auto ar = Archive::forSave();
     q.serialize(ar, nullptr);
@@ -362,24 +436,31 @@ saveQueue(Queue &q)
     return ar.take();
 }
 
-/** Restore @p bytes into @p q, rearming each event to log tag.a. */
-template <typename Queue>
-void
-loadQueue(Queue &q, const std::vector<std::uint8_t> &bytes,
-          std::vector<std::uint64_t> &log)
+/** Load @p bytes into @p q, rearming each event to log tag.a. */
+Archive
+tryLoadQueue(hh::sim::EventQueue &q,
+             const std::vector<std::uint8_t> &bytes,
+             std::vector<std::uint64_t> &log)
 {
     auto ar = Archive::forLoad(bytes);
     q.serialize(ar, [&log](const hh::snap::SnapTag &tag) {
         const std::uint64_t ord = tag.a;
-        return typename Queue::Callback(
+        return hh::sim::EventQueue::Callback(
             [&log, ord] { log.push_back(ord); });
     });
-    ASSERT_TRUE(ar.ok());
+    return ar;
 }
 
-template <typename Queue>
+void
+loadQueue(hh::sim::EventQueue &q, const std::vector<std::uint8_t> &bytes,
+          std::vector<std::uint64_t> &log)
+{
+    const Archive ar = tryLoadQueue(q, bytes, log);
+    ASSERT_TRUE(ar.ok()) << ar.error();
+}
+
 std::vector<std::pair<hh::sim::Cycles, std::uint64_t>>
-drainQueue(Queue &q, std::vector<std::uint64_t> &log)
+drainQueue(hh::sim::EventQueue &q, std::vector<std::uint64_t> &log)
 {
     std::vector<std::pair<hh::sim::Cycles, std::uint64_t>> out;
     while (!q.empty()) {
@@ -393,57 +474,207 @@ drainQueue(Queue &q, std::vector<std::uint64_t> &log)
 
 } // namespace
 
-// The serialized event-queue encoding is a structure-independent
-// contract: a checkpoint written by the binary heap restores on the
-// timing wheel (and vice versa), re-serializes byte-identically,
-// and pops the same (time, seq) stream.
-TEST(SnapshotEventQueue, HeapCheckpointRestoresOnWheel)
+// A checkpoint restores into a fresh queue that re-serializes
+// byte-identically and pops the saved (time, seq) stream.
+TEST(SnapshotEventQueue, CheckpointRoundTripsByteIdentically)
 {
-    hh::sim::HeapEventQueue heap;
-    populateQueue(heap);
-    const auto bytes = saveQueue(heap);
+    hh::sim::EventQueue q;
+    populateQueue(q);
+    const auto bytes = saveQueue(q);
 
     std::vector<std::uint64_t> log;
-    hh::sim::EventQueue wheel;
-    loadQueue(wheel, bytes, log);
-    EXPECT_EQ(wheel.size(), heap.size());
-
-    // Round-trip through the wheel is byte-identical.
-    EXPECT_EQ(saveQueue(wheel), bytes);
-
-    // And the restored wheel pops the heap's exact event stream.
-    std::vector<std::uint64_t> heap_log;
-    hh::sim::HeapEventQueue heap2;
-    loadQueue(heap2, bytes, heap_log);
-    EXPECT_EQ(drainQueue(wheel, log), drainQueue(heap2, heap_log));
+    hh::sim::EventQueue restored;
+    loadQueue(restored, bytes, log);
+    EXPECT_EQ(restored.size(), q.size());
+    EXPECT_EQ(saveQueue(restored), bytes);
+    EXPECT_EQ(drainQueue(restored, log), populatedStream());
 }
 
-TEST(SnapshotEventQueue, WheelCheckpointRestoresOnHeap)
+// EventIds held across a restore stay valid verbatim: the restored
+// queue hands out the same ids, cancels the same events and keeps
+// serializing the same bytes as the queue it was saved from.
+TEST(SnapshotEventQueue, RestoredQueueContinuesLikeTheOriginal)
 {
-    hh::sim::EventQueue wheel;
-    populateQueue(wheel);
-    const auto bytes = saveQueue(wheel);
-
+    hh::sim::EventQueue q;
+    const auto ids = populateQueue(q);
     std::vector<std::uint64_t> log;
-    hh::sim::HeapEventQueue heap;
-    loadQueue(heap, bytes, log);
-    EXPECT_EQ(heap.size(), wheel.size());
+    hh::sim::EventQueue restored;
+    loadQueue(restored, saveQueue(q), log);
 
-    EXPECT_EQ(saveQueue(heap), bytes);
-
-    std::vector<std::uint64_t> wheel_log;
-    hh::sim::EventQueue wheel2;
-    loadQueue(wheel2, bytes, wheel_log);
-    EXPECT_EQ(drainQueue(heap, log), drainQueue(wheel2, wheel_log));
+    hh::snap::SnapTag tag;
+    tag.kind = hh::snap::SnapTag::kCoreIdle;
+    tag.a = 40;
+    EXPECT_EQ(restored.schedule(100, tag, [] {}),
+              q.schedule(100, tag, [] {}));
+    EXPECT_TRUE(q.cancel(ids[1]));
+    EXPECT_TRUE(restored.cancel(ids[1]));
+    EXPECT_FALSE(restored.cancel(ids[0])); // cancelled before saving
+    EXPECT_EQ(saveQueue(restored), saveQueue(q));
 }
 
-// Both implementations must write identical bytes for identical
-// schedule/cancel histories in the first place.
+// Identical schedule/cancel histories write identical bytes, and the
+// encoding is pinned: the digest is the one the binary heap this
+// queue replaced wrote for the same history.
 TEST(SnapshotEventQueue, IdenticalHistoryIdenticalBytes)
 {
-    hh::sim::EventQueue wheel;
-    hh::sim::HeapEventQueue heap;
-    populateQueue(wheel);
-    populateQueue(heap);
-    EXPECT_EQ(saveQueue(wheel), saveQueue(heap));
+    hh::sim::EventQueue a;
+    hh::sim::EventQueue b;
+    populateQueue(a);
+    populateQueue(b);
+    const auto bytes = saveQueue(a);
+    EXPECT_EQ(saveQueue(b), bytes);
+    EXPECT_EQ(fnv1a64(bytes), 0x579a48028ae107d3ULL)
+        << std::hex << "0x" << fnv1a64(bytes);
+}
+
+namespace {
+
+/**
+ * A hand-built event-queue stream in the serialize() layout, so a
+ * test can corrupt one field at a time. The default image is the
+ * queue validImageQueue() builds: one live event in slot 0 and a
+ * cancelled one whose slot 1 is free.
+ */
+struct QueueImage
+{
+    struct Live
+    {
+        hh::sim::Cycles when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+        std::uint32_t gen;
+    };
+    std::vector<Live> live{{100, 0, 0, 1}};
+    std::vector<std::uint32_t> gens{1, 2};
+    std::vector<std::uint32_t> freeSlots{1};
+    std::uint64_t nextSeq = 2;
+    /** Written instead of live.size() / gens.size() when nonzero. */
+    std::uint64_t liveCount = 0;
+    std::uint64_t slabCount = 0;
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        auto ar = Archive::forSave();
+        ar.section(0x45565451u, "event_queue");
+        std::uint64_t n = liveCount ? liveCount : live.size();
+        ar.io(n);
+        for (Live e : live) {
+            hh::snap::SnapTag tag;
+            tag.kind = hh::snap::SnapTag::kCoreIdle;
+            ar.io(e.when);
+            ar.io(e.seq);
+            ar.io(e.slot);
+            ar.io(e.gen);
+            ar.io(tag);
+        }
+        std::uint64_t slots = slabCount ? slabCount : gens.size();
+        ar.io(slots);
+        for (std::uint32_t g : gens)
+            ar.io(g);
+        std::vector<std::uint32_t> free_slots = freeSlots;
+        ar.io(free_slots);
+        std::uint64_t next_seq = nextSeq;
+        std::uint64_t zero = 0;
+        ar.io(next_seq);
+        ar.io(zero); // last popped
+        ar.io(zero); // monotonic violations
+        return ar.take();
+    }
+};
+
+/** The real queue QueueImage{} describes. */
+void
+validImageQueue(hh::sim::EventQueue &q)
+{
+    hh::snap::SnapTag tag;
+    tag.kind = hh::snap::SnapTag::kCoreIdle;
+    q.schedule(100, tag, [] {});
+    EXPECT_TRUE(q.cancel(q.schedule(200, tag, [] {})));
+}
+
+/** Loading @p img fails cleanly with @p needle in the message and
+ *  leaves the target queue as it was. */
+void
+expectLoadFails(const QueueImage &img, const std::string &needle)
+{
+    hh::sim::EventQueue q;
+    validImageQueue(q);
+    const auto before = saveQueue(q);
+    std::vector<std::uint64_t> log;
+    const Archive ar = tryLoadQueue(q, img.bytes(), log);
+    EXPECT_FALSE(ar.ok());
+    EXPECT_NE(ar.error().find(needle), std::string::npos)
+        << ar.error();
+    EXPECT_EQ(saveQueue(q), before);
+}
+
+} // namespace
+
+TEST(SnapshotEventQueue, HandBuiltImageMatchesARealQueue)
+{
+    hh::sim::EventQueue q;
+    validImageQueue(q);
+    EXPECT_EQ(saveQueue(q), QueueImage{}.bytes());
+    std::vector<std::uint64_t> log;
+    hh::sim::EventQueue restored;
+    loadQueue(restored, QueueImage{}.bytes(), log);
+    EXPECT_EQ(restored.size(), 1u);
+}
+
+TEST(SnapshotEventQueue, FreeSlotOutOfRangeFailsTheArchive)
+{
+    QueueImage img;
+    img.freeSlots = {999};
+    expectLoadFails(img, "free slot 999");
+}
+
+TEST(SnapshotEventQueue, RepeatedFreeSlotFailsTheArchive)
+{
+    QueueImage img;
+    img.gens = {1, 2, 1};
+    img.freeSlots = {1, 1};
+    expectLoadFails(img, "free slot 1");
+}
+
+TEST(SnapshotEventQueue, FreeSlotNamingALiveSlotFailsTheArchive)
+{
+    QueueImage img;
+    img.freeSlots = {1, 0};
+    expectLoadFails(img, "free slot 0");
+}
+
+TEST(SnapshotEventQueue, HugeLiveCountFailsTheArchive)
+{
+    QueueImage img;
+    img.liveCount = std::uint64_t{1} << 61;
+    expectLoadFails(img, "live events exceed");
+}
+
+TEST(SnapshotEventQueue, LargeSlabCountFailsTheArchive)
+{
+    QueueImage img;
+    img.slabCount = std::uint64_t{1} << 27;
+    expectLoadFails(img, "exceeds");
+}
+
+TEST(SnapshotEventQueue, RepeatedLiveSlotFailsTheArchive)
+{
+    QueueImage img;
+    img.live.push_back({150, 1, 0, 1});
+    expectLoadFails(img, "live event slot 0");
+}
+
+TEST(SnapshotEventQueue, StaleLiveGenerationFailsTheArchive)
+{
+    QueueImage img;
+    img.live[0].gen = 5;
+    expectLoadFails(img, "generation 5");
+}
+
+TEST(SnapshotEventQueue, LiveSeqAtOrPastNextSeqFailsTheArchive)
+{
+    QueueImage img;
+    img.live[0].seq = 2;
+    expectLoadFails(img, "seq 2");
 }
